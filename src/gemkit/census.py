@@ -3,10 +3,12 @@ persistence, and census reports.
 
 The engine fixes color 0 as the standard matching (0 1)(2 3)... and extends
 one color at a time; after each extension the partial tables are reduced to
-canonical representatives, so the frontier holds one table per isomorphism
-class and never revisits relabelings.  Connectivity and the requested
-filters apply to the completed graphs, and a final pass deduplicates under
-the requested equivalence.
+canonical representatives under the requested equivalence, so the frontier
+holds one table per class and never revisits an equivalent table.
+Extending by every involution commutes with recoloring the colors already
+placed, and every filter on completed graphs is invariant under color
+permutation, so under either equivalence the last level already is the
+catalogue: one canonical table per class.
 """
 
 from __future__ import annotations
@@ -158,38 +160,29 @@ def enumerate_census(params: CensusParams) -> Catalogue:
     """
     params.validate()
     order = params.order
+    permuting = params.equivalence is Equivalence.COLOR_PERMUTING
     involutions = _fpf_involutions(order)
 
     frontier: list = [(_standard_matching(order),)]
     for level in range(1, params.n + 1):
         finishing = level == params.n
-        seen: dict = {}
+        seen: set = set()
         for partial in frontier:
             for extra in involutions:
                 cand = partial + (extra,)
                 # cheap isomorphism-invariant filters before canonicalizing
                 if finishing and not _keep_completed(cand, order, params):
                     continue
-                table = canonical_matchings(cand)
-                if table not in seen:
-                    seen[table] = None
+                seen.add(canonical_matchings(cand, color_permuting=permuting))
         frontier = sorted(seen)
 
-    survivors = [ColoredGraph(table) for table in frontier]
+    reps = [ColoredGraph(table) for table in frontier]
     if params.no_ordinary_dipoles:
-        survivors = [
+        reps = [
             g
-            for g in survivors
+            for g in reps
             if not any(d.kind is DipoleKind.ORDINARY for d in find_dipoles(g))
         ]
-
-    classes: dict = {}
-    permuting = params.equivalence is Equivalence.COLOR_PERMUTING
-    for g in survivors:
-        rep = canonical_matchings(g.matchings, color_permuting=permuting)
-        classes.setdefault(rep, ColoredGraph(rep))
-
-    reps = sorted(classes.values(), key=lambda g: g.matchings)
     bip = sum(1 for g in reps if g.is_bipartite() is not None)
     return Catalogue(
         params=params,
@@ -243,12 +236,12 @@ def format_catalogue(cat: Catalogue) -> str:
 
 
 def parse_catalogue(text: str) -> Catalogue:
+    """Read a catalogue; its ``# count=`` footer must match the entries, so a
+    truncated file is rejected rather than loaded short."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise GemSyntaxError("missing catalogue header")
-    fields = dict(
-        tok.split("=", 1) for tok in lines[0][len(_HEADER_PREFIX) :].split() if "=" in tok
-    )
+    fields = _fields(lines[0][len(_HEADER_PREFIX) :])
     try:
         params = CensusParams(
             n=int(fields["n"]),
@@ -266,10 +259,27 @@ def parse_catalogue(text: str) -> Catalogue:
         )
     except (KeyError, ValueError) as exc:
         raise GemSyntaxError(f"bad catalogue header: {exc}") from None
-    entries = tuple(ln for ln in lines[1:] if not ln.startswith("#"))
+    if len(lines) < 2 or not lines[-1].startswith("# count="):
+        raise GemSyntaxError("missing catalogue footer '# count=...'")
+    footer = _fields(lines[-1][1:])
+    try:
+        stated = tuple(int(footer[k]) for k in ("count", "bipartite", "nonbipartite"))
+    except (KeyError, ValueError) as exc:
+        raise GemSyntaxError(f"bad catalogue footer: {exc}") from None
+    entries = tuple(ln for ln in lines[1:-1] if not ln.startswith("#"))
     graphs = [parse_code_line(ln) for ln in entries]
     bip = sum(1 for g in graphs if g.is_bipartite() is not None)
+    found = (len(graphs), bip, len(graphs) - bip)
+    if stated != found:
+        raise GemSyntaxError(
+            f"catalogue footer '{lines[-1]}' disagrees with its {found[0]} "
+            f"entries ({found[1]} bipartite)"
+        )
     return Catalogue(params, entries, bip, len(graphs) - bip)
+
+
+def _fields(text: str) -> dict:
+    return dict(tok.split("=", 1) for tok in text.split() if "=" in tok)
 
 
 # ============================================================

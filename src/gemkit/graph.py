@@ -189,7 +189,15 @@ class CanonicalCode:
 # serialized matching table over all start vertices therefore yields a true
 # canonical form for connected graphs; isomorphic graphs produce identical
 # sets of rooted tables.  Color permutations are handled by minimizing over
-# the (n+1)! color orders, which stays tiny for n <= 5.
+# the admissible color orders, which stays tiny for n <= 5.
+#
+# Tables compare color-major, row 0 first.  Row-0 entry i of a rooted table
+# is the label of the color-0 neighbor of the i-th discovered vertex, known
+# as soon as that vertex has been scanned.  So a start vertex is dropped the
+# moment its row-0 prefix exceeds the incumbent's row 0, before the rest of
+# its traversal runs or any table is built.  On a connected table the
+# incumbent is shared across the color orders: each order competes against
+# the best table of the orders tried before it.
 
 
 def _reach(matchings: Matchings, start: int) -> set:
@@ -225,30 +233,57 @@ def _two_color(matchings: Matchings) -> Optional[list]:
     return side
 
 
-def _rooted_table(matchings: Matchings, start: int) -> Matchings:
-    """Relabel by color-ordered BFS discovery from `start` (connected input)."""
+def _min_rooted_table(matchings: Matchings, best: Optional[Matchings] = None) -> Matchings:
+    """Least table relabeled by color-ordered BFS discovery, over every start
+    vertex of the connected input, or `best` when no start beats it."""
     order = len(matchings[0])
-    label = [-1] * order
-    label[start] = 0
-    discovery = [start]
-    for u in discovery:  # grows while iterating: BFS queue
-        for row in matchings:
-            w = row[u]
-            if label[w] < 0:
-                label[w] = len(discovery)
-                discovery.append(w)
-    return tuple(
-        tuple(label[row[discovery[v]]] for v in range(order)) for row in matchings
-    )
-
-
-def _min_rooted_table(matchings: Matchings) -> Matchings:
-    best = None
-    for start in range(len(matchings[0])):
-        table = _rooted_table(matchings, start)
-        if best is None or table < best:
-            best = table
+    first = matchings[0]
+    for start in range(order):
+        label = [-1] * order
+        label[start] = 0
+        discovery = [start]
+        # below: the row-0 prefix is already smaller than the incumbent's
+        below = best is None
+        for i, u in enumerate(discovery):  # grows while iterating: BFS queue
+            for row in matchings:
+                w = row[u]
+                if label[w] < 0:
+                    label[w] = len(discovery)
+                    discovery.append(w)
+            if not below:
+                x = label[first[u]]
+                y = best[0][i]
+                if x > y:
+                    break
+                below = x < y
+        else:
+            relabel = label.__getitem__
+            table = tuple(
+                [tuple(map(relabel, map(row.__getitem__, discovery))) for row in matchings]
+            )
+            if below or table < best:
+                best = table
     return best
+
+
+def _canon_split(matchings: Matchings, comps: list) -> Matchings:
+    """Canonicalize each component on its own, sort by (size, table), and
+    re-stack the parts block by block."""
+    parts = []
+    for comp in comps:
+        index = {v: i for i, v in enumerate(comp)}
+        sub = tuple(tuple(index[row[v]] for v in comp) for row in matchings)
+        parts.append(_min_rooted_table(sub))
+    parts.sort(key=lambda t: (len(t[0]), t))
+    stacked = []
+    for c in range(len(matchings)):
+        row: list = []
+        offset = 0
+        for part in parts:
+            row.extend(x + offset for x in part[c])
+            offset += len(part[c])
+        stacked.append(tuple(row))
+    return tuple(stacked)
 
 
 def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> Matchings:
@@ -258,38 +293,18 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
     are still being assigned): components are canonicalized independently,
     sorted, and re-stacked block by block.
     """
-    comps = _components_all_colors(matchings)
-    if len(comps) == 1:
-        return _apply_color_perms(matchings, color_permuting, _min_rooted_table)
-
-    def canon_split(ms: Matchings) -> Matchings:
-        parts = []
-        for comp in _components_all_colors(ms):
-            index = {v: i for i, v in enumerate(comp)}
-            sub = tuple(tuple(index[row[v]] for v in comp) for row in ms)
-            parts.append(_min_rooted_table(sub))
-        parts.sort(key=lambda t: (len(t[0]), t))
-        stacked = []
-        for c in range(len(ms)):
-            row: list = []
-            offset = 0
-            for part in parts:
-                row.extend(x + offset for x in part[c])
-                offset += len(part[c])
-            stacked.append(tuple(row))
-        return tuple(stacked)
-
-    return _apply_color_perms(matchings, color_permuting, canon_split)
-
-
-def _apply_color_perms(matchings: Matchings, color_permuting: bool, canon) -> Matchings:
-    if not color_permuting:
-        return canon(matchings)
+    if color_permuting:
+        tables = [
+            tuple(matchings[c] for c in perm) for perm in _admissible_color_orders(matchings)
+        ]
+    else:
+        tables = [matchings]
+    comps = _components_all_colors(matchings)  # the same under every color order
+    if len(comps) > 1:
+        return min(_canon_split(table, comps) for table in tables)
     best = None
-    for perm in _admissible_color_orders(matchings):
-        table = canon(tuple(matchings[c] for c in perm))
-        if best is None or table < best:
-            best = table
+    for table in tables:
+        best = _min_rooted_table(table, best)
     return best
 
 

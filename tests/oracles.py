@@ -2,7 +2,7 @@
 
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
-union-find.
+union-find, canonical tables by exhaustive minimization without pruning.
 """
 
 import itertools
@@ -49,7 +49,11 @@ def minor_gcd_invariant_factors(rows, width):
 
 
 def union_find_components(g, cols):
-    parent = list(g.vertices)
+    return table_components([g.matchings[c] for c in cols], g.order)
+
+
+def table_components(rows, order):
+    parent = list(range(order))
 
     def find(x):
         while parent[x] != x:
@@ -57,30 +61,110 @@ def union_find_components(g, cols):
             x = parent[x]
         return x
 
-    for c in cols:
-        for v in g.vertices:
-            a, b = find(v), find(g.matchings[c][v])
+    for row in rows:
+        for v in range(order):
+            a, b = find(v), find(row[v])
             if a != b:
                 parent[a] = b
     groups = {}
-    for v in g.vertices:
+    for v in range(order):
         groups.setdefault(find(v), []).append(v)
     return sorted(tuple(sorted(vs)) for vs in groups.values())
 
 
+def two_coloring(g):
+    """Sides of a 2-coloring found by traversal, or None if there is none."""
+    side = [None] * g.order
+    side[0] = 0
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for c in g.colors:
+            w = g.matchings[c][v]
+            if side[w] is None:
+                side[w] = 1 - side[v]
+                queue.append(w)
+            elif side[w] == side[v]:
+                return None
+    return side
+
+
+def bicolored_cycles(rows, i, j):
+    """Number of {i, j}-colored cycles of a matching table, by direct walking."""
+    seen = set()
+    count = 0
+    for v in range(len(rows[0])):
+        if v in seen:
+            continue
+        u = v
+        while u not in seen:
+            seen.add(u)
+            step = rows[i][u]
+            seen.add(step)
+            u = rows[j][step]
+        count += 1
+    return count
+
+
 def bigon_count(g):
     """Number of bicolored cycles over all color pairs, by direct walking."""
-    total = 0
-    for i, j in itertools.combinations(g.colors, 2):
-        seen = set()
-        for v in g.vertices:
-            if v in seen:
-                continue
-            u = v
-            while u not in seen:
-                seen.add(u)
-                step = g.matchings[i][u]
-                seen.add(step)
-                u = g.matchings[j][step]
-            total += 1
-    return total
+    return sum(
+        bicolored_cycles(g.matchings, i, j)
+        for i, j in itertools.combinations(g.colors, 2)
+    )
+
+
+# ============================================================
+# Canonical form, by its definition
+# ============================================================
+
+
+def _bfs_relabeled(rows, start):
+    """The table relabeled by discovery order of a BFS from `start` that
+    scans colors in increasing order."""
+    label = {start: 0}
+    queue = [start]
+    for u in queue:
+        for row in rows:
+            if row[u] not in label:
+                label[row[u]] = len(queue)
+                queue.append(row[u])
+    return tuple(tuple(label[row[queue[v]]] for v in range(len(queue))) for row in rows)
+
+
+def _canonical_fixed_colors(rows):
+    parts = []
+    for comp in table_components(rows, len(rows[0])):
+        index = {v: i for i, v in enumerate(comp)}
+        sub = tuple(tuple(index[row[v]] for v in comp) for row in rows)
+        parts.append(min(_bfs_relabeled(sub, s) for s in range(len(comp))))
+    parts.sort(key=lambda t: (len(t[0]), t))
+    stacked = []
+    for c in range(len(rows)):
+        row = []
+        offset = 0
+        for part in parts:
+            row.extend(x + offset for x in part[c])
+            offset += len(part[c])
+        stacked.append(tuple(row))
+    return tuple(stacked)
+
+
+def canonical_table(rows, color_permuting=False):
+    """Minimum over every start vertex of the full BFS relabeling, per
+    component; with color permutation, also over every color order whose
+    per-color signatures (sorted bicolored cycle counts with each other
+    color) are non-decreasing."""
+    rows = tuple(tuple(r) for r in rows)
+    if not color_permuting:
+        return _canonical_fixed_colors(rows)
+    k = len(rows)
+    sig = [
+        sorted(bicolored_cycles(rows, c, d) for d in range(k) if d != c)
+        for c in range(k)
+    ]
+    return min(
+        _canonical_fixed_colors(tuple(rows[c] for c in perm))
+        for perm in itertools.permutations(range(k))
+        if all(sig[perm[i]] <= sig[perm[i + 1]] for i in range(k - 1))
+    )

@@ -1,5 +1,6 @@
 """Enumeration completeness, determinism, catalogue files, reports."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -10,7 +11,6 @@ from gemkit import (
     Equivalence,
     canonical_code,
     format_code_line,
-    isomorphic,
     parse_code_line,
     parse_gem,
     format_gem,
@@ -23,6 +23,7 @@ from gemkit.census import (
     parse_catalogue,
     random_graph,
 )
+from oracles import canonical_table, table_components, two_coloring, union_find_components
 
 
 # ============================================================
@@ -30,54 +31,60 @@ from gemkit.census import (
 # ============================================================
 
 
-def _brute_force_classes(n, order, equivalence):
+def _brute_force_classes(n, order, equivalence, supercontracted=False, bipartite=None):
     """Raw enumeration of every matching table with color 0 standard,
-    deduplicated by exhaustive isomorphism testing."""
-
-    def involutions(k):
-        if k == 0:
-            yield ()
-            return
-        fixed = tuple(range(order))
-
-        def rec(free):
-            if not free:
-                yield ()
-                return
-            a = free[0]
-            for i in range(1, len(free)):
-                b = free[i]
-                for rest in rec(free[1:i] + free[i + 1 :]):
-                    yield ((a, b),) + rest
-
-        rows = []
-        for pairs in rec(fixed):
-            row = [0] * order
-            for a, b in pairs:
-                row[a], row[b] = b, a
-            rows.append(tuple(row))
-        yield from itertools.product(rows, repeat=k)
-
+    filtered by union-find connectivity and a direct 2-coloring, and
+    deduplicated by the unpruned reference canonical form."""
+    rows = []
+    for pairs in _pairings(tuple(range(order))):
+        row = [0] * order
+        for a, b in pairs:
+            row[a], row[b] = b, a
+        rows.append(tuple(row))
     std = tuple(v + 1 if v % 2 == 0 else v - 1 for v in range(order))
-    classes = []
-    for rest in involutions(n):
-        rows = (std,) + rest
-        try:
-            g = ColoredGraph(rows)
-        except Exception:
+    permuting = equivalence is Equivalence.COLOR_PERMUTING
+    classes = set()
+    for rest in itertools.product(rows, repeat=n):
+        table = (std,) + rest
+        if len(table_components(table, order)) > 1:
             continue
-        if not any(isomorphic(g, h, equivalence) for h in classes):
-            classes.append(g)
+        g = ColoredGraph(table)
+        if supercontracted and any(
+            len(union_find_components(g, [c for c in g.colors if c != drop])) > 1
+            for drop in g.colors
+        ):
+            continue
+        if bipartite is not None and (two_coloring(g) is not None) != bipartite:
+            continue
+        classes.add(canonical_table(table, permuting))
     return classes
+
+
+def _pairings(free):
+    if not free:
+        yield ()
+        return
+    a = free[0]
+    for i in range(1, len(free)):
+        for rest in _pairings(free[1:i] + free[i + 1 :]):
+            yield ((a, free[i]),) + rest
 
 
 @pytest.mark.parametrize("equivalence", [Equivalence.COLOR_PRESERVING, Equivalence.COLOR_PERMUTING])
 def test_completeness_against_brute_force(equivalence):
-    got = enumerate_census(CensusParams(n=2, order=4, equivalence=equivalence))
-    expect = _brute_force_classes(2, 4, equivalence)
-    assert got.count == len(expect)
-    for g in expect:
-        assert any(isomorphic(g, h, equivalence) for h in got.graphs())
+    """Every class appears exactly once, as its canonical table, for each
+    size and filter; the frontier and the catalogue are canonical under the
+    requested equivalence."""
+    permuting = equivalence is Equivalence.COLOR_PERMUTING
+    for (n, order), filters in itertools.product(
+        [(2, 4), (3, 4), (2, 6)],
+        [{}, {"supercontracted": True}, {"bipartite": True}, {"bipartite": False}],
+    ):
+        got = enumerate_census(CensusParams(n=n, order=order, equivalence=equivalence, **filters))
+        expect = _brute_force_classes(n, order, equivalence, **filters)
+        assert sorted(canonical_table(g.matchings, permuting) for g in got.graphs()) == sorted(
+            expect
+        ), (n, order, filters)
 
 
 def test_enumerate_deterministic():
@@ -86,6 +93,37 @@ def test_enumerate_deterministic():
     b = enumerate_census(params)
     assert a.entries == b.entries
     assert format_catalogue(a) == format_catalogue(b)
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (CensusParams(n=3, order=8), "ced97cb3be5e4aba"),
+        (
+            CensusParams(
+                n=3, order=8, supercontracted=True, equivalence=Equivalence.COLOR_PRESERVING
+            ),
+            "453833eecaeb60f6",
+        ),
+        (CensusParams(n=4, order=6), "1b51929c817250b5"),
+        (CensusParams(n=5, order=4), "9b922e5db1a99293"),
+    ],
+)
+def test_catalogue_bytes_pinned(params, digest):
+    """The canonical form, the entry order and the v1 text format are fixed:
+    a change to any of them changes these digests and needs a new header
+    version."""
+    text = format_catalogue(enumerate_census(params))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_budget_edge_census():
+    """Regression anchor: this engine's counts for the five-color order-8
+    supercontracted census.  They are not from the paper, which reports only
+    the order-4 and order-6 counts; they are pinned so that engine changes
+    cannot move them."""
+    cat = enumerate_census(CensusParams(n=4, order=8, supercontracted=True))
+    assert (cat.count, cat.bipartite_count, cat.nonbipartite_count) == (3441, 122, 3319)
 
 
 def test_entries_canonical_and_distinct():
@@ -175,6 +213,26 @@ def test_catalogue_rejects_garbage():
 
     with pytest.raises(GemSyntaxError):
         parse_catalogue("not a catalogue\n")
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda lines: lines[:-5],  # truncated
+        lambda lines: lines[:3] + lines[4:],  # one entry dropped
+        lambda lines: lines[:1],  # header only
+        lambda lines: lines[:-1] + ["# count=39 bipartite=9 nonbipartite=30\n"],
+        lambda lines: lines[:-1] + ["# count=x bipartite=8 nonbipartite=31\n"],
+    ],
+    ids=["truncated", "entry-dropped", "header-only", "wrong-split", "bad-count"],
+)
+def test_catalogue_footer_checked(cut):
+    from gemkit import GemSyntaxError
+
+    text = format_catalogue(enumerate_census(CensusParams(n=4, order=6, supercontracted=True)))
+    assert parse_catalogue(text).count == 39
+    with pytest.raises(GemSyntaxError, match="footer"):
+        parse_catalogue("".join(cut(text.splitlines(keepends=True))))
 
 
 # ============================================================

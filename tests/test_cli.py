@@ -188,6 +188,18 @@ def test_enumerate_report_round_trip(tmp_path):
     assert "name=S4" in result.stdout
 
 
+def test_report_truncated_catalogue_is_input_error(tmp_path):
+    cat_file = tmp_path / "o6.cat"
+    run_cli("enumerate", "--n", "4", "--order", "6", "--supercontracted",
+            "-o", str(cat_file))
+    lines = cat_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    cat_file.write_text("".join(lines[:20]), encoding="utf-8")
+    result = run_cli("report", str(cat_file))
+    assert result.returncode == 2
+    assert "footer" in result.stderr
+    assert result.stdout == ""
+
+
 def test_export_dot(q4_file):
     result = run_cli("export-dot", q4_file)
     assert result.returncode == 0

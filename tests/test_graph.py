@@ -21,7 +21,10 @@ from gemkit import (
     parse_code_line,
     parse_gem,
 )
+from gemkit.census import random_graph
+from gemkit.graph import canonical_matchings
 from gemkit.library import k2, q4
+from oracles import bigon_count, canonical_table, table_components, two_coloring
 
 
 # ============================================================
@@ -44,9 +47,9 @@ def test_parse_torus_fixture(t6):
     g = parse_gem("\n".join(lines))
     assert g == t6
     # independent oracle: chi via bigon count minus half the order, bipartite
-    bigons = _bigon_count(g)
+    bigons = bigon_count(g)
     assert bigons - g.order // 2 == 0
-    assert _bfs_two_coloring(g) is not None
+    assert two_coloring(g) is not None
 
 
 def test_parse_comments_and_whitespace():
@@ -137,40 +140,6 @@ def test_code_line_rejects():
 # ============================================================
 
 
-def _bfs_two_coloring(g):
-    """Independent traversal oracle for two-colorability."""
-    side = [None] * g.order
-    side[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for c in g.colors:
-            w = g.matchings[c][v]
-            if side[w] is None:
-                side[w] = 1 - side[v]
-                queue.append(w)
-            elif side[w] == side[v]:
-                return None
-    return side
-
-
-def _bigon_count(g):
-    total = 0
-    for i, j in itertools.combinations(g.colors, 2):
-        seen = set()
-        for v in g.vertices:
-            if v in seen:
-                continue
-            u = v
-            while u not in seen:
-                seen.add(u)
-                step = g.matchings[i][u]
-                seen.add(step)
-                u = g.matchings[j][step]
-            total += 1
-    return total
-
-
 def test_bipartite_k2():
     bip = k2(4).is_bipartite()
     assert bip is not None
@@ -188,7 +157,7 @@ def test_bipartite_matches_oracle(fixtures_all, rng):
 
     graphs += [random_graph(3, 8, rng) for _ in range(30)]
     for g in graphs:
-        assert (g.is_bipartite() is not None) == (_bfs_two_coloring(g) is not None)
+        assert (g.is_bipartite() is not None) == (two_coloring(g) is not None)
 
 
 def test_odd_cycle_not_bipartite():
@@ -257,6 +226,36 @@ def test_canonical_separates_against_brute_force(rng):
         ):
             same_code = canonical_code(g1, eq) == canonical_code(g2, eq)
             assert same_code == _brute_force_isomorphic(g1, g2, perm)
+
+
+def _random_partial_table(n, order, rng):
+    """Color 0 standard plus fewer than n random colors, often disconnected."""
+    rows = [tuple(v ^ 1 for v in range(order))]
+    for _ in range(rng.randrange(n)):
+        free = list(range(order))
+        rng.shuffle(free)
+        row = [0] * order
+        while free:
+            a, b = free.pop(), free.pop()
+            row[a], row[b] = b, a
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_canonical_matchings_equals_definition(fixtures_all, rng):
+    """The pruned labeling returns exactly the table of the unpruned
+    definition: the same canonical form, not just an invariant one."""
+    tables = [g.matchings for g in fixtures_all]
+    for _ in range(100):
+        n, order = rng.randint(2, 5), 2 * rng.randint(1, 6)
+        tables.append(random_graph(n, order, rng).matchings)
+        tables.append(_random_partial_table(n, order, rng))
+    for rows in tables:
+        for permuting in (False, True):
+            assert canonical_matchings(rows, color_permuting=permuting) == canonical_table(
+                rows, color_permuting=permuting
+            )
+    assert sum(len(table_components(rows, len(rows[0]))) > 1 for rows in tables) >= 20
 
 
 def test_color_positions_separate_only_when_preserving():
