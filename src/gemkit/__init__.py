@@ -38,7 +38,6 @@ from .graph import (
     ColoredGraph,
     Equivalence,
     canonical_code,
-    canonical_graph,
     export_dot,
     format_code_line,
     format_gem,

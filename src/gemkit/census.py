@@ -17,10 +17,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import BudgetExceededError, GemSyntaxError
+from .errors import BudgetExceededError, GemSyntaxError, UnresolvedResidueError
 from .graph import (
     ColoredGraph,
     Equivalence,
+    _component,
     _two_color,
     canonical_matchings,
     format_code_line,
@@ -28,7 +29,7 @@ from .graph import (
 )
 from .invariants import classify_small, g_degree
 from .moves import DipoleKind, find_dipoles
-from .singularity import classify_graph, is_closed_manifold, is_singular_manifold
+from .singularity import is_closed_manifold, is_singular_manifold
 
 DEFAULT_BUDGET = (5, 8)  # max dimension, max order
 
@@ -121,19 +122,7 @@ def _standard_matching(order: int) -> tuple[int, ...]:
 
 
 def _connected(matchings, order: int) -> bool:
-    seen = [False] * order
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for row in matchings:
-            w = row[v]
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == order
+    return len(_component(matchings, 0, [False] * order)) == order
 
 
 def _keep_completed(matchings, order: int, params: CensusParams) -> bool:
@@ -176,13 +165,14 @@ def enumerate_census(params: CensusParams) -> Catalogue:
                 seen.add(canonical_matchings(cand, color_permuting=permuting))
         frontier = sorted(seen)
 
-    reps = [ColoredGraph(table) for table in frontier]
     if params.no_ordinary_dipoles:
-        reps = [
-            g
-            for g in reps
-            if not any(d.kind is DipoleKind.ORDINARY for d in find_dipoles(g))
+        # a fresh graph per test, so no classification outlives its check
+        frontier = [
+            table
+            for table in frontier
+            if not any(d.kind is DipoleKind.ORDINARY for d in find_dipoles(ColoredGraph(table)))
         ]
+    reps = [ColoredGraph(table) for table in frontier]
     bip = sum(1 for g in reps if g.is_bipartite() is not None)
     return Catalogue(
         params=params,
@@ -237,7 +227,8 @@ def format_catalogue(cat: Catalogue) -> str:
 
 def parse_catalogue(text: str) -> Catalogue:
     """Read a catalogue; its ``# count=`` footer must match the entries, so a
-    truncated file is rejected rather than loaded short."""
+    truncated file is rejected rather than loaded short, and every entry must
+    be distinct and have the header's dimension and order."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise GemSyntaxError("missing catalogue header")
@@ -268,6 +259,16 @@ def parse_catalogue(text: str) -> Catalogue:
         raise GemSyntaxError(f"bad catalogue footer: {exc}") from None
     entries = tuple(ln for ln in lines[1:-1] if not ln.startswith("#"))
     graphs = [parse_code_line(ln) for ln in entries]
+    seen: set = set()
+    for line, g in zip(entries, graphs):
+        if (g.n, g.order) != (params.n, params.order):
+            raise GemSyntaxError(
+                f"catalogue entry {line!r} has n={g.n} order={g.order}, "
+                f"header says n={params.n} order={params.order}"
+            )
+        if line in seen:
+            raise GemSyntaxError(f"catalogue entry {line!r} appears twice")
+        seen.add(line)
     bip = sum(1 for g in graphs if g.is_bipartite() is not None)
     found = (len(graphs), bip, len(graphs) - bip)
     if stated != found:
@@ -356,11 +357,10 @@ def census_report(cat: Catalogue) -> CensusReport:
     singular_count = 0
     for line in cat.entries:
         g = parse_code_line(line)
-        cls = classify_graph(g)
         omega_reduced = None
         identities_ok = True
-        closed = is_closed_manifold(g, cls)
-        singular = is_singular_manifold(g, cls)
+        closed = is_closed_manifold(g)
+        singular = is_singular_manifold(g)
         if g.n == 4:
             report = g_degree(g)
             omega_reduced = report.omega_reduced
@@ -373,9 +373,8 @@ def census_report(cat: Catalogue) -> CensusReport:
             ):
                 identities_ok = False
                 failures.append(f"{line}: G-degree identities")
-            slack = (
-                2 * _rank_count(cls, 3) - 3 * _rank_count(cls, 2) + 10 * g.p
-            )
+            ranks = g.lattice.rank_counts()
+            slack = 2 * ranks.get(3, 0) - 3 * ranks.get(2, 0) + 10 * g.p
             if slack < 0:
                 identities_ok = False
                 failures.append(f"{line}: bigon-count inequality")
@@ -390,8 +389,8 @@ def census_report(cat: Catalogue) -> CensusReport:
         name = None
         if g.order <= 6 and g.n <= 4:
             try:
-                name = classify_small(g, cls)
-            except Exception:
+                name = classify_small(g)
+            except UnresolvedResidueError:
                 name = None
         if closed is True:
             closed_count += 1
@@ -416,7 +415,3 @@ def census_report(cat: Catalogue) -> CensusReport:
         singular_manifold_count=singular_count,
         identity_failures=tuple(failures),
     )
-
-
-def _rank_count(cls, h: int) -> int:
-    return cls.lattice.rank_counts().get(h, 0)

@@ -2,14 +2,13 @@
 
 Every command is a pure function of its arguments and input files; reports
 go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
-2 input or parse error, 3 unresolved classification, 4 enumeration budget
-exceeded.
+2 input or parse error, 3 unresolved classification (or an unmet group
+hypothesis), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from typing import Optional, Sequence
@@ -27,7 +26,6 @@ from .groups import homology_h1
 from .moves import inflate, internalize, simplify, suspend
 from .residues import is_supercontracted
 from .singularity import (
-    classify_graph,
     euler_characteristics,
     h1_manifold,
     is_closed_manifold,
@@ -51,20 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageExit()
-
-
-def worker_cap() -> int:
-    """Upper bound on parallel workers from GEMKIT_THREADS (>= 1)."""
-    raw = os.environ.get("GEMKIT_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise GemError(f"GEMKIT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise GemError("GEMKIT_THREADS must be >= 1")
-    return cap
 
 
 def build_parser() -> _Parser:
@@ -163,14 +147,13 @@ def cmd_validate(args) -> int:
 
 
 def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
-    cls = classify_graph(g)
     rec: dict = {
         "n": g.n,
         "order": g.order,
         "bipartite": g.is_bipartite() is not None,
         "supercontracted": is_supercontracted(g),
     }
-    unresolved = bool(cls.unresolved)
+    unresolved = bool(g.classification.unresolved)
     if unresolved:
         rec.update(
             chi_M=None, chi_hatM=None, chi_singular=None,
@@ -178,15 +161,15 @@ def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
             singular_dimension=None, h1=None,
         )
     else:
-        chis = euler_characteristics(g, cls)
-        summary = singular_summary(g, cls)
-        h1 = h1_manifold(g, cls)
+        chis = euler_characteristics(g)
+        summary = singular_summary(g)
+        h1 = h1_manifold(g)
         rec.update(
             chi_M=chis.chi_m,
             chi_hatM=chis.chi_hat_m,
             chi_singular=chis.chi_singular_set,
-            closed=is_closed_manifold(g, cls),
-            singular_manifold=is_singular_manifold(g, cls),
+            closed=is_closed_manifold(g),
+            singular_manifold=is_singular_manifold(g),
             boundary_components=len(summary.components),
             singular_dimension="empty" if summary.is_empty else summary.dimension,
             h1=str(h1) if h1 is not None else None,
@@ -317,7 +300,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageExit:
         return EXIT_USAGE
     try:
-        worker_cap()  # validate the env var early
         return _COMMANDS[args.command](args)
     except (UnresolvedResidueError, HypothesisViolatedError) as exc:
         print(f"gemkit: unresolved: {exc}", file=sys.stderr)

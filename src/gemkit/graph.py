@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     ColorRangeError,
@@ -22,6 +23,10 @@ from .errors import (
     InvolutionError,
     OddOrderError,
 )
+
+if TYPE_CHECKING:
+    from .residues import ResidueLattice
+    from .singularity import Classification
 
 Matchings = tuple  # tuple[tuple[int, ...], ...]
 
@@ -36,6 +41,8 @@ class ColoredGraph:
     """Connected (n+1)-regular multigraph with a proper (n+1)-edge-coloring.
 
     Immutable; all operations elsewhere in the package return new graphs.
+    The residue lattice and its classification are computed on first use
+    and kept on the graph (equality and hashing still read only `matchings`).
     """
 
     matchings: Matchings
@@ -65,10 +72,9 @@ class ColoredGraph:
             for v in range(order):
                 if row[row[v]] != v:
                     raise InvolutionError(f"color {c}: not an involution at vertex {v}")
-        reached = _reach(rows, 0)
-        if len(reached) != order:
-            missing = min(set(range(order)) - reached)
-            raise DisconnectedError(f"vertex {missing} unreachable from vertex 0")
+        seen = [False] * order
+        if len(_component(rows, 0, seen)) != order:
+            raise DisconnectedError(f"vertex {seen.index(False)} unreachable from vertex 0")
 
     # ---- basic accessors ----
 
@@ -107,6 +113,22 @@ class ColoredGraph:
             for v, w in enumerate(row):
                 if v < w:
                     yield (v, w, c)
+
+    # ---- residue analysis, computed once ----
+
+    @cached_property
+    def lattice(self) -> ResidueLattice:
+        """Every residue on a proper color subset, with containment."""
+        from .residues import residue_lattice
+
+        return residue_lattice(self)
+
+    @cached_property
+    def classification(self) -> Classification:
+        """Ordinary/singular/unknown class of every residue on >= 3 colors."""
+        from .singularity import classify_graph
+
+        return classify_graph(self)
 
     # ---- relabelings ----
 
@@ -200,17 +222,28 @@ class CanonicalCode:
 # the best table of the orders tried before it.
 
 
-def _reach(matchings: Matchings, start: int) -> set:
-    seen = {start}
+def _component(rows: Sequence, start: int, seen: list) -> list:
+    """Vertices reachable from `start` along the given matching rows, in
+    discovery order; marks them in the flag list `seen`."""
+    seen[start] = True
+    comp = [start]
     stack = [start]
     while stack:
         v = stack.pop()
-        for row in matchings:
+        for row in rows:
             w = row[v]
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = True
+                comp.append(w)
                 stack.append(w)
-    return seen
+    return comp
+
+
+def _components(rows: Sequence, order: int) -> list:
+    """Components of the vertex set 0..order-1 under the given matching rows,
+    each sorted, ordered by minimum vertex; no rows leaves every vertex alone."""
+    seen = [False] * order
+    return [sorted(_component(rows, v, seen)) for v in range(order) if not seen[v]]
 
 
 def _two_color(matchings: Matchings) -> Optional[list]:
@@ -299,7 +332,7 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
         ]
     else:
         tables = [matchings]
-    comps = _components_all_colors(matchings)  # the same under every color order
+    comps = _components(matchings, len(matchings[0]))  # the same under every color order
     if len(comps) > 1:
         return min(_canon_split(table, comps) for table in tables)
     best = None
@@ -352,28 +385,6 @@ def _admissible_color_orders(matchings: Matchings):
         yield tuple(c for part in parts for c in part)
 
 
-def _components_all_colors(matchings: Matchings) -> list:
-    order = len(matchings[0])
-    seen = [False] * order
-    comps = []
-    for root in range(order):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for row in matchings:
-                w = row[v]
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _encode(matchings: Matchings) -> bytes:
     n = len(matchings) - 1
     order = len(matchings[0])
@@ -388,13 +399,6 @@ def canonical_code(g: ColoredGraph, equivalence: Equivalence = Equivalence.COLOR
         g.matchings, color_permuting=(equivalence is Equivalence.COLOR_PERMUTING)
     )
     return CanonicalCode(equivalence, _encode(table))
-
-
-def canonical_graph(g: ColoredGraph, equivalence: Equivalence = Equivalence.COLOR_PRESERVING) -> ColoredGraph:
-    """The canonical representative of g's isomorphism class."""
-    return ColoredGraph(
-        canonical_matchings(g.matchings, equivalence is Equivalence.COLOR_PERMUTING)
-    )
 
 
 def isomorphic(a: ColoredGraph, b: ColoredGraph, equivalence: Equivalence = Equivalence.COLOR_PRESERVING) -> bool:

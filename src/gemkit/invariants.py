@@ -25,11 +25,10 @@ from .groups import (
     c_group_presentation,
     quotient_presentation,
 )
-from .residues import complement, residue_count, residues
+from .residues import complement
 from .singularity import (
     Classification,
     ResidueClass,
-    classify_graph,
     euler_characteristics,
     h1_manifold,
     singular_summary,
@@ -51,8 +50,7 @@ PAIR_RELATION_ORDERS: dict[int, tuple[int, int, int, int]] = {
 # ============================================================
 
 
-def pi1_presentation(g: ColoredGraph, c: int, target: str = "m",
-                     classification: Optional[Classification] = None) -> GroupPresentation:
+def pi1_presentation(g: ColoredGraph, c: int, target: str = "m") -> GroupPresentation:
     """Presentation of the fundamental group of the manifold ("m") or the
     cone space ("hatm"), checking the hypothesis that makes it valid.
 
@@ -68,7 +66,7 @@ def pi1_presentation(g: ColoredGraph, c: int, target: str = "m",
     if g.n < 2:
         # a bicolored cycle is a circle; its cycles are not relator disks
         raise ValueError("fundamental-group shortcuts need at least three colors")
-    cls = classification or classify_graph(g)
+    cls = g.classification
     if target == "m":
         _check_color_ordinary(cls, c)
     else:
@@ -121,8 +119,10 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> Fraction:
     eps = tuple(eps)
     if sorted(eps) != list(g.colors):
         raise ColorRangeError(f"{eps} is not a cyclic order of colors 0..{g.n}")
+    if g.n < 2:
+        raise ValueError("the regular genus needs at least three colors")
     k = len(eps)
-    s = sum(residue_count(g, (eps[j], eps[(j + 1) % k])) for j in range(k))
+    s = sum(g.lattice.count((eps[j], eps[(j + 1) % k])) for j in range(k))
     return Fraction(2 - s - (1 - g.n) * g.p, 2)
 
 
@@ -164,10 +164,9 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
         return GDegreeReport(g.n, g.p, genera, omega)
 
     p = g.p
-    bigons = sum(
-        residue_count(g, (i, j)) for i in range(5) for j in range(i + 1, 5)
-    )
-    top = sum(len(residues(g, complement(1 << c, 4))) for c in range(5))
+    lattice = g.lattice
+    bigons = sum(lattice.count((i, j)) for i in range(5) for j in range(i + 1, 5))
+    top = sum(lattice.count(complement(1 << c, 4)) for c in range(5))
     rho = top + 5 * p - bigons
     omega_int = int(omega) if omega.denominator == 1 else None
     multiple = omega_int is not None and omega_int % 3 == 0
@@ -177,24 +176,19 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
     sub_total = Fraction(0)
     pair_ok: dict[int, bool] = {}
     for c in range(5):
-        parts = residues(g, complement(1 << c, 4))
-        for rv in parts:
-            sub = rv.as_graph()
-            sub_total += sum(
-                regular_genus(sub, eps) for eps in cyclic_orders(tuple(sub.colors))
-            )
+        parts = lattice.residues(complement(1 << c, 4))
         # per-color relation with the fixed cyclic order on the leftover colors
         order = PAIR_RELATION_ORDERS[c]
         rho_c = Fraction(0)
         for rv in parts:
             sub = rv.as_graph()
+            sub_total += sum(
+                regular_genus(sub, eps) for eps in cyclic_orders(tuple(sub.colors))
+            )
             local = tuple(rv.colors.index(col) for col in order)
             rho_c += regular_genus(sub, local)
         lhs = 2 * len(parts) - 2 * rho_c
-        rhs = (
-            sum(residue_count(g, (order[i], order[(i + 1) % 4])) for i in range(4))
-            - 2 * p
-        )
+        rhs = sum(lattice.count((order[i], order[(i + 1) % 4])) for i in range(4)) - 2 * p
         pair_ok[c] = lhs == rhs
     subdegree_ok = sub_total == 3 * rho
 
@@ -240,11 +234,10 @@ class ManifoldFingerprint:
         )
 
 
-def fingerprint(g: ColoredGraph, classification: Optional[Classification] = None) -> ManifoldFingerprint:
-    cls = classification or classify_graph(g)
-    cls.require_resolved("fingerprint")
-    chis = euler_characteristics(g, cls)
-    summary = singular_summary(g, cls)
+def fingerprint(g: ColoredGraph) -> ManifoldFingerprint:
+    g.classification.require_resolved("fingerprint")
+    chis = euler_characteristics(g)
+    summary = singular_summary(g)
     shape = tuple(sorted((comp.dimension, comp.chi) for comp in summary.components))
     omega_reduced = g_degree(g).omega_reduced if g.n == 4 else None
     return ManifoldFingerprint(
@@ -253,7 +246,7 @@ def fingerprint(g: ColoredGraph, classification: Optional[Classification] = None
         bipartite=g.is_bipartite() is not None,
         chi_m=chis.chi_m,
         chi_hat_m=chis.chi_hat_m,
-        h1=h1_manifold(g, cls),
+        h1=h1_manifold(g),
         boundary_components=len(summary.components),
         singular_shape=shape,
         omega_reduced=omega_reduced,
@@ -268,7 +261,7 @@ _SURFACES = {
 }
 
 
-def classify_small(g: ColoredGraph, classification: Optional[Classification] = None) -> Optional[str]:
+def classify_small(g: ColoredGraph) -> Optional[str]:
     """Name the represented manifold for order <= 6 and dimension <= 4,
     or None when the table has no row for it.
 
@@ -300,8 +293,7 @@ def classify_small(g: ColoredGraph, classification: Optional[Classification] = N
     if not bip:
         return None
 
-    cls = classification or classify_graph(g)
-    fp = fingerprint(g, cls)
+    fp = fingerprint(g)
     h1 = fp.h1
     if n == 3:
         if fp.boundary_components == 0 and h1 is not None and h1.trivial:

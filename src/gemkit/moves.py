@@ -217,17 +217,17 @@ def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> Color
 # ============================================================
 
 
-def find_dipoles(g: ColoredGraph, classification=None) -> list[Dipole]:
+def find_dipoles(g: ColoredGraph) -> list[Dipole]:
     """Every dipole of g with kind and properness labels.
 
     Kind needs the two complementary residues classified: both singular
     means singular, any ordinary one means ordinary, otherwise the kind is
     left None and properness unknown.
     """
-    from .singularity import ResidueClass, classify_graph, is_singular_manifold
+    from .singularity import ResidueClass, is_singular_manifold
 
-    cls = classification if classification is not None else classify_graph(g)
-    singular_manifold = is_singular_manifold(g, cls)
+    cls = g.classification
+    singular_manifold = is_singular_manifold(g)
     out = []
     for v, w, cols in dipole_sites(g):
         comp = complement(mask_of(cols), g.n)
@@ -278,13 +278,13 @@ class VertexIndex:
         return self.index == 0
 
 
-def vertex_index(g: ColoredGraph, v: int, classification=None) -> VertexIndex:
+def vertex_index(g: ColoredGraph, v: int) -> VertexIndex:
     """Number of singular residues missing one color that contain v."""
-    from .singularity import ResidueClass, classify_graph
+    from .singularity import ResidueClass
 
     if not 0 <= v < g.order:
         raise InvalidVertexError(f"vertex {v} outside 0..{g.order - 1}")
-    cls = classification if classification is not None else classify_graph(g)
+    cls = g.classification
     count = 0
     for c in g.colors:
         side = cls.of_containing(complement(1 << c, g.n), v)
@@ -306,12 +306,12 @@ def internalize(g: ColoredGraph) -> ColoredGraph:
     the minimal index by one, so at most (initial minimal index) dipoles are
     added.
     """
-    from .singularity import ResidueClass, classify_graph
+    from .singularity import ResidueClass
 
     cur = g
     while True:
-        cls = classify_graph(cur)
-        indices = [vertex_index(cur, v, cls) for v in cur.vertices]
+        cls = cur.classification
+        indices = [vertex_index(cur, v) for v in cur.vertices]
         best = min(indices, key=lambda vi: (vi.index, vi.vertex))
         if best.index == 0:
             return cur

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import ColorRangeError
-from .graph import ColoredGraph
+from .graph import ColoredGraph, Matchings, _components
 
 ResidueKey = tuple  # (mask, minimum vertex)
 
@@ -64,7 +64,7 @@ def _as_mask(colors, n: int) -> int:
 class ResidueView:
     """One connected component of the subgraph on a fixed color set."""
 
-    graph: ColoredGraph
+    matchings: Matchings  # the whole graph's rows
     mask: int
     vertices: tuple[int, ...]  # sorted
 
@@ -101,7 +101,7 @@ class ResidueView:
             raise ValueError("residues with fewer than two colors have no graph form")
         index = {v: i for i, v in enumerate(self.vertices)}
         rows = tuple(
-            tuple(index[self.graph.matchings[c][v]] for v in self.vertices) for c in cols
+            tuple(index[self.matchings[c][v]] for v in self.vertices) for c in cols
         )
         return ColoredGraph(rows)
 
@@ -115,25 +115,8 @@ def residues(g: ColoredGraph, colors) -> list[ResidueView]:
     For the empty color set each vertex is its own residue.
     """
     mask = _as_mask(colors, g.n)
-    cols = colors_of(mask)
-    seen = [False] * g.order
-    out = []
-    for root in g.vertices:
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for c in cols:
-                w = g.matchings[c][v]
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(ResidueView(g, mask, tuple(sorted(comp))))
-    return out
+    rows = [g.matchings[c] for c in colors_of(mask)]
+    return [ResidueView(g.matchings, mask, tuple(comp)) for comp in _components(rows, g.order)]
 
 
 def residue_count(g: ColoredGraph, colors) -> int:
@@ -143,8 +126,7 @@ def residue_count(g: ColoredGraph, colors) -> int:
 
 def is_supercontracted(g: ColoredGraph) -> bool:
     """True iff dropping any single color leaves the graph connected."""
-    n = g.n
-    return all(residue_count(g, complement(1 << c, n)) == 1 for c in g.colors)
+    return all(g.lattice.count(complement(1 << c, g.n)) == 1 for c in g.colors)
 
 
 # ============================================================
@@ -161,7 +143,6 @@ class ResidueLattice:
     """
 
     def __init__(self, g: ColoredGraph):
-        self.graph = g
         self.n = g.n
         self._by_mask: dict[int, tuple[ResidueView, ...]] = {}
         self._comp_of: dict[int, tuple[int, ...]] = {}  # mask -> vertex -> index
@@ -244,10 +225,7 @@ class ResidueLattice:
                     out.append(child)
         return out
 
-    def supercontracted(self) -> bool:
-        full = full_mask(self.n)
-        return all(len(self._by_mask[full & ~(1 << c)]) == 1 for c in range(self.n + 1))
-
 
 def residue_lattice(g: ColoredGraph) -> ResidueLattice:
+    """A new lattice of g; `g.lattice` builds one once and keeps it."""
     return ResidueLattice(g)

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, canonical_code
+from .graph import ColoredGraph, _component, canonical_code
 from .groups import AbelianInvariants, homology_h1, quotient_presentation
 from .moves import cancel_site, dipole_sites
 from .residues import (
@@ -25,7 +25,6 @@ from .residues import (
     colors_of,
     complement,
     mask_of,
-    residue_lattice,
 )
 
 
@@ -58,8 +57,7 @@ _SPHERE_CACHE: dict[bytes, SphereStatus] = {}
 def quasi_manifold_euler(g: ColoredGraph) -> int:
     """Euler characteristic of the cone space, from residue counts alone:
     alternating sum of h-residue counts weighted by (-1)^(n-h)."""
-    lattice = residue_lattice(g)
-    return _chi_hat_from_lattice(lattice)
+    return _chi_hat_from_lattice(g.lattice)
 
 
 def _chi_hat_from_lattice(lattice: ResidueLattice) -> int:
@@ -92,7 +90,7 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
         return SphereStatus(Verdict.SPHERE, "bicolored cycle")
 
     bip = g.is_bipartite()
-    lattice = residue_lattice(g)
+    lattice = g.lattice
 
     if n == 2:
         chi = _chi_hat_from_lattice(lattice)
@@ -174,17 +172,9 @@ def _safe_site(g: ColoredGraph) -> Optional[tuple[int, int]]:
 
 
 def _component_view(g: ColoredGraph, mask: int, v: int) -> ResidueView:
-    cols = colors_of(mask)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for c in cols:
-            x = g.matchings[c][u]
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return ResidueView(g, mask, tuple(sorted(seen)))
+    rows = [g.matchings[c] for c in colors_of(mask)]
+    comp = _component(rows, v, [False] * g.order)
+    return ResidueView(g.matchings, mask, tuple(sorted(comp)))
 
 
 # ============================================================
@@ -211,10 +201,6 @@ class Classification:
 
     lattice: ResidueLattice
     classes: dict
-
-    @property
-    def graph(self) -> ColoredGraph:
-        return self.lattice.graph
 
     def of(self, rv: ResidueView) -> ResidueClass:
         if rv.h <= 2:
@@ -271,11 +257,13 @@ class Classification:
         return True
 
     def ordinary_colors(self) -> list[int]:
-        return [c for c in self.graph.colors if self.color_is_ordinary(c) is True]
+        return [c for c in range(self.lattice.n + 1) if self.color_is_ordinary(c) is True]
 
 
-def classify_graph(g: ColoredGraph, lattice: Optional[ResidueLattice] = None) -> Classification:
-    lattice = lattice or residue_lattice(g)
+def classify_graph(g: ColoredGraph) -> Classification:
+    """Classify every residue of g on at least three colors; `g.classification`
+    keeps the result on the graph."""
+    lattice = g.lattice
     classes = {rv.key: classify_residue(rv) for rv in lattice.all_residues(min_h=3)}
     return Classification(lattice, classes)
 
@@ -307,10 +295,10 @@ class SingularSetSummary:
         return not self.components
 
 
-def singular_summary(g: ColoredGraph, classification: Optional[Classification] = None) -> SingularSetSummary:
+def singular_summary(g: ColoredGraph) -> SingularSetSummary:
     """Connected components of the singular set with dimensions and Euler
     characteristics; refuses on unresolved residues."""
-    cls = classification or classify_graph(g)
+    cls = g.classification
     cls.require_resolved("singular summary")
     n = g.n
     sing = cls.singular_views()
@@ -353,9 +341,9 @@ def singular_summary(g: ColoredGraph, classification: Optional[Classification] =
     )
 
 
-def is_closed_manifold(g: ColoredGraph, classification: Optional[Classification] = None) -> Optional[bool]:
+def is_closed_manifold(g: ColoredGraph) -> Optional[bool]:
     """True/False when every top residue is classified, else None."""
-    cls = classification or classify_graph(g)
+    cls = g.classification
     tops = [cls.of(rv) for rv in cls.lattice.all_residues(min_h=g.n, max_h=g.n)]
     if ResidueClass.SINGULAR in tops:
         return False
@@ -364,9 +352,9 @@ def is_closed_manifold(g: ColoredGraph, classification: Optional[Classification]
     return True
 
 
-def is_singular_manifold(g: ColoredGraph, classification: Optional[Classification] = None) -> Optional[bool]:
+def is_singular_manifold(g: ColoredGraph) -> Optional[bool]:
     """Whether every singular residue (if any) uses all but one color."""
-    cls = classification or classify_graph(g)
+    cls = g.classification
     below = [cls.of(rv) for rv in cls.lattice.all_residues(min_h=3, max_h=g.n - 1)]
     if ResidueClass.SINGULAR in below:
         return False
@@ -382,10 +370,10 @@ class EulerCharacteristics:
     chi_singular_set: int
 
 
-def euler_characteristics(g: ColoredGraph, classification: Optional[Classification] = None) -> EulerCharacteristics:
+def euler_characteristics(g: ColoredGraph) -> EulerCharacteristics:
     """The three alternating residue-count sums: ordinary residues weighted
     by (-1)^h, all residues and singular residues by (-1)^(n-h)."""
-    cls = classification or classify_graph(g)
+    cls = g.classification
     cls.require_resolved("Euler characteristics")
     n = g.n
     ordinary = cls.rank_class_counts(ResidueClass.ORDINARY)
@@ -430,24 +418,24 @@ class BoundaryComponent:
     walls: tuple[SharedWall, ...] = ()
 
 
-def boundary_structure(g: ColoredGraph, classification: Optional[Classification] = None) -> tuple[BoundaryComponent, ...]:
+def boundary_structure(g: ColoredGraph) -> tuple[BoundaryComponent, ...]:
     """One entry per singular-set component.
 
     Components that are points report the single bounding space; dimension-1
     components report the glued pieces and their shared walls.  Higher
     dimensional components are counted but their structure is omitted.
     """
-    cls = classification or classify_graph(g)
-    summary = singular_summary(g, cls)
+    cls = g.classification
+    summary = singular_summary(g)
     n = g.n
     out = []
     for comp in summary.components:
         if comp.dimension == 0:
             out.append(
-                BoundaryComponent("single", (_piece(comp.top_residues[0], cls),))
+                BoundaryComponent("single", (_piece(comp.top_residues[0]),))
             )
         elif comp.dimension == 1:
-            pieces = tuple(_piece(rv, cls) for rv in comp.top_residues)
+            pieces = tuple(_piece(rv) for rv in comp.top_residues)
             walls = []
             for rv in comp.residues:
                 if rv.h != n - 1:
@@ -464,7 +452,7 @@ def boundary_structure(g: ColoredGraph, classification: Optional[Classification]
     return tuple(out)
 
 
-def _piece(rv: ResidueView, cls: Classification) -> BoundaryPiece:
+def _piece(rv: ResidueView) -> BoundaryPiece:
     sub = rv.as_graph()
     return BoundaryPiece(
         residue=rv,
@@ -480,25 +468,25 @@ def _piece(rv: ResidueView, cls: Classification) -> BoundaryPiece:
 # ============================================================
 
 
-def h1_manifold(g: ColoredGraph, classification: Optional[Classification] = None) -> Optional[AbelianInvariants]:
+def h1_manifold(g: ColoredGraph) -> Optional[AbelianInvariants]:
     """H1 of the compact manifold, via the quotiented c-group of the smallest
     color all of whose complement residues are ordinary; None if no color
     qualifies."""
     if g.n == 1:
         return AbelianInvariants(1, ())  # every bicolored cycle is a circle
-    cls = classification or classify_graph(g)
+    cls = g.classification
     for c in g.colors:
         if cls.color_is_ordinary(c) is True:
             return homology_h1(quotient_presentation(g, c))
     return None
 
 
-def h1_quasi_manifold(g: ColoredGraph, classification: Optional[Classification] = None) -> Optional[AbelianInvariants]:
+def h1_quasi_manifold(g: ColoredGraph) -> Optional[AbelianInvariants]:
     """H1 of the cone space, via a color c such that every other color is
     ordinary; None if no such color exists."""
     if g.n == 1:
         return AbelianInvariants(1, ())
-    cls = classification or classify_graph(g)
+    cls = g.classification
     flags = {c: cls.color_is_ordinary(c) for c in g.colors}
     not_ordinary = [c for c, ok in flags.items() if ok is not True]
     if len(not_ordinary) > 1:

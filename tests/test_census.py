@@ -16,6 +16,7 @@ from gemkit import (
     format_gem,
 )
 from gemkit.census import (
+    Catalogue,
     CensusParams,
     census_report,
     enumerate_census,
@@ -235,6 +236,38 @@ def test_catalogue_footer_checked(cut):
         parse_catalogue("".join(cut(text.splitlines(keepends=True))))
 
 
+def _repeat_first_entry(text):
+    """The catalogue with its first entry listed twice and the footer
+    recounted to match, so only the repetition is wrong."""
+    cat = parse_catalogue(text)
+    bip = parse_code_line(cat.entries[0]).is_bipartite() is not None
+    return format_catalogue(
+        Catalogue(
+            cat.params,
+            cat.entries[:1] + cat.entries,
+            cat.bipartite_count + bip,
+            cat.nonbipartite_count + (not bip),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda text: text.replace(" n=4 ", " n=3 ", 1), "header says n=3 order=6"),
+        (lambda text: text.replace(" order=6 ", " order=8 ", 1), "header says n=4 order=8"),
+        (_repeat_first_entry, "appears twice"),
+    ],
+    ids=["header-n", "header-order", "repeated-entry"],
+)
+def test_catalogue_entries_checked(edit, match):
+    from gemkit import GemSyntaxError
+
+    text = format_catalogue(enumerate_census(CensusParams(n=4, order=6, supercontracted=True)))
+    with pytest.raises(GemSyntaxError, match=match):
+        parse_catalogue(edit(text))
+
+
 # ============================================================
 # Random graphs
 # ============================================================
@@ -266,6 +299,28 @@ def test_report_order4_supercontracted():
     assert not report.identity_failures
     text = report.format_text()
     assert "omega_G_reduced histogram" in text
+
+
+def test_report_propagates_unexpected_errors(monkeypatch):
+    """Only an unresolved residue may leave an entry unnamed; any other
+    failure of the small-order table reaches the caller."""
+    import gemkit.census
+    from gemkit import UnresolvedResidueError
+
+    cat = enumerate_census(CensusParams(n=4, order=4, supercontracted=True))
+
+    def unresolved(g):
+        raise UnresolvedResidueError("simulated")
+
+    monkeypatch.setattr(gemkit.census, "classify_small", unresolved)
+    assert {row.name for row in census_report(cat).rows} == {None}
+
+    def broken(g):
+        raise RuntimeError("simulated table bug")
+
+    monkeypatch.setattr(gemkit.census, "classify_small", broken)
+    with pytest.raises(RuntimeError, match="simulated table bug"):
+        census_report(cat)
 
 
 def test_report_names_small_entries():

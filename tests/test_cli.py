@@ -200,19 +200,23 @@ def test_report_truncated_catalogue_is_input_error(tmp_path):
     assert result.stdout == ""
 
 
+def test_report_catalogue_header_mismatch_is_input_error(tmp_path):
+    cat_file = tmp_path / "o4.cat"
+    run_cli("enumerate", "--n", "4", "--order", "4", "--supercontracted",
+            "-o", str(cat_file))
+    text = cat_file.read_text(encoding="utf-8")
+    cat_file.write_text(text.replace(" n=4 order=4 ", " n=3 order=6 ", 1), encoding="utf-8")
+    result = run_cli("report", str(cat_file))
+    assert result.returncode == 2
+    assert "header says n=3 order=6" in result.stderr
+    assert result.stdout == ""
+
+
 def test_export_dot(q4_file):
     result = run_cli("export-dot", q4_file)
     assert result.returncode == 0
     assert result.stdout.startswith("graph gem {")
     assert result.stdout.rstrip().endswith("}")
-
-
-def test_threads_env_rejected_when_invalid(q4_file):
-    import os
-
-    env = dict(os.environ, GEMKIT_THREADS="banana")
-    result = run_cli("validate", q4_file, env=env)
-    assert result.returncode == 2
 
 
 def test_main_callable_in_process(q4_file, capsys):

@@ -1,6 +1,7 @@
 """Regular genus, G-degree identities, fundamental-group wrappers,
 fingerprints, small-order classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from gemkit import (
     cyclic_orders,
     fingerprint,
     g_degree,
+    h1_quasi_manifold,
     homology_h1,
     pi1_presentation,
     regular_genus,
@@ -26,6 +28,7 @@ from gemkit.library import (
     torus_disk,
     torus_interval,
 )
+from oracles import bicolored_cycles, bigon_count, union_find_components
 
 
 # ============================================================
@@ -173,6 +176,26 @@ def test_pi1_hatm_on_closed_graph():
     assert str(homology_h1(pres)) == "Z/2"
 
 
+def test_h1_quasi_manifold_matches_hatm_presentation(fixtures_all):
+    """h1_quasi_manifold is H1 of the cone-space presentation for every color
+    where that presentation's hypothesis holds, and None when none does."""
+    covered = 0
+    for g in fixtures_all:
+        valid = []
+        for c in g.colors:
+            try:
+                valid.append(homology_h1(pi1_presentation(g, c, target="hatm")))
+            except HypothesisViolatedError:
+                continue
+        h1 = h1_quasi_manifold(g)
+        if not valid:
+            assert h1 is None
+            continue
+        covered += 1
+        assert all(h1 == other for other in valid)
+    assert covered >= 5
+
+
 def test_pi1_cgroup_untested():
     pres = pi1_presentation(torus_disk(), 1, "cgroup")
     assert len(pres.generators) == 3
@@ -181,6 +204,28 @@ def test_pi1_cgroup_untested():
 def test_pi1_f_tb():
     pres = pi1_presentation(torus_disk(), 0, "m")
     assert str(homology_h1(pres)) == "Z+Z"
+
+
+def test_lattice_counts_match_walked_cycles():
+    """regular_genus and the G-degree's bigon total, read from the residue
+    lattice, agree with direct walks of the bicolored cycles."""
+    rng = random.Random(20250917)
+    for _ in range(50):
+        n = rng.choice((3, 4))
+        g = random_graph(n, rng.choice((2, 4, 6, 8, 10, 12)), rng)
+        for eps in cyclic_orders(tuple(g.colors)):
+            walked = sum(
+                bicolored_cycles(g.matchings, eps[j], eps[(j + 1) % len(eps)])
+                for j in range(len(eps))
+            )
+            assert regular_genus(g, eps) == Fraction(2 - walked - (1 - n) * g.p, 2)
+        if n == 4:
+            top = sum(
+                len(union_find_components(g, [d for d in g.colors if d != c]))
+                for c in g.colors
+            )
+            # rho = (top residues) + 5p - (bigons)
+            assert g_degree(g).rho == top + 5 * g.p - bigon_count(g)
 
 
 # ============================================================

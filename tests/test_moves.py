@@ -13,7 +13,6 @@ from gemkit import (
     WouldAnnihilateError,
     add_dipole,
     cancel_dipole,
-    classify_graph,
     connected_sum,
     find_dipoles,
     fingerprint,
@@ -292,8 +291,8 @@ def test_boundary_sum_merges_components():
     two boundary components into one."""
     a = torus_interval()
     grown = internalize(a)  # gains index-0 and index-1 vertices
-    cls = classify_graph(grown)
-    ones = [v for v in grown.vertices if vertex_index(grown, v, cls).index == 1]
+    cls = grown.classification
+    ones = [v for v in grown.vertices if vertex_index(grown, v).index == 1]
     assert ones
     v = ones[0]
     # find the singular color at v, then align a second copy on the same color
@@ -306,7 +305,7 @@ def test_boundary_sum_merges_components():
         if cls.of_containing(complement(1 << c, grown.n), v) is ResidueClass.SINGULAR
     ]
     assert len(sing_colors) == 1
-    before = len(singular_summary(grown, cls).components)
+    before = len(singular_summary(grown).components)
     s = connected_sum(grown, v, grown, v)
     after = len(singular_summary(s).components)
     assert after == 2 * before - 1

@@ -1,7 +1,9 @@
 """Sphere recognition, residue classes, singular sets, Euler numbers,
 manifold tests, boundary structure."""
 
+import gc
 import itertools
+import weakref
 
 from gemkit import (
     ColoredGraph,
@@ -11,6 +13,7 @@ from gemkit import (
     classify_graph,
     classify_residue,
     euler_characteristics,
+    g_degree,
     h1_manifold,
     is_closed_manifold,
     is_singular_manifold,
@@ -123,6 +126,31 @@ def test_surface_residue_criterion_on_fixtures(fixtures_all):
                 assert (classify_residue(rv) is ResidueClass.ORDINARY) == expect
 
 
+def test_analysis_computed_once(fixtures_all):
+    for g in fixtures_all:
+        assert g.lattice is g.lattice
+        assert g.classification is g.classification
+        assert g.classification.lattice is g.lattice
+        assert classify_graph(g).classes == g.classification.classes
+
+
+def test_analysis_holds_no_reference_to_its_graph():
+    """The lattice and classification kept on a graph must not point back at
+    it: with the cycle collector off, dropping the graph frees it at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = torus_disk()
+        assert g.classification.singular_views()
+        g_degree(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ============================================================
 # Singular summaries
 # ============================================================
@@ -166,13 +194,12 @@ def test_manifold_flags():
 def test_closed_means_empty_singular_set(fixtures_all, rng):
     graphs = fixtures_all + [random_graph(4, 6, rng) for _ in range(15)]
     for g in graphs:
-        cls = classify_graph(g)
-        if cls.unresolved:
+        if g.classification.unresolved:
             continue
-        if is_closed_manifold(g, cls) is True:
-            s = singular_summary(g, cls)
+        if is_closed_manifold(g) is True:
+            s = singular_summary(g)
             assert s.is_empty
-            chis = euler_characteristics(g, cls)
+            chis = euler_characteristics(g)
             assert chis.chi_m == chis.chi_hat_m
 
 
@@ -212,8 +239,7 @@ def test_odd_dimension_closed_chi_zero(rng):
     for order in (2, 4, 6, 8):
         cat = enumerate_census(CensusParams(n=3, order=order))
         for g in cat.graphs():
-            cls = classify_graph(g)
-            if is_closed_manifold(g, cls) is True:
+            if is_closed_manifold(g) is True:
                 assert quasi_manifold_euler(g) == 0
                 count += 1
     assert count > 0
@@ -270,12 +296,9 @@ def test_boundary_torus_disk_glued():
 
 def test_boundary_component_count_matches_summary(fixtures_all):
     for g in fixtures_all:
-        cls = classify_graph(g)
-        if cls.unresolved:
+        if g.classification.unresolved:
             continue
-        assert len(boundary_structure(g, cls)) == len(
-            singular_summary(g, cls).components
-        )
+        assert len(boundary_structure(g)) == len(singular_summary(g).components)
 
 
 # ============================================================
