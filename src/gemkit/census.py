@@ -28,8 +28,7 @@ from .graph import (
     parse_code_line,
 )
 from .invariants import classify_small, g_degree
-from .moves import DipoleKind, find_dipoles
-from .singularity import is_closed_manifold, is_singular_manifold
+from .singularity import certified_site, is_closed_manifold, is_singular_manifold
 
 DEFAULT_BUDGET = (5, 8)  # max dimension, max order
 
@@ -166,12 +165,7 @@ def enumerate_census(params: CensusParams) -> Catalogue:
         frontier = sorted(seen)
 
     if params.no_ordinary_dipoles:
-        # a fresh graph per test, so no classification outlives its check
-        frontier = [
-            table
-            for table in frontier
-            if not any(d.kind is DipoleKind.ORDINARY for d in find_dipoles(ColoredGraph(table)))
-        ]
+        frontier = [table for table in frontier if certified_site(ColoredGraph(table)) is None]
     reps = [ColoredGraph(table) for table in frontier]
     bip = sum(1 for g in reps if g.is_bipartite() is not None)
     return Catalogue(

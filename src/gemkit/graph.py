@@ -100,9 +100,6 @@ class ColoredGraph:
     def vertices(self) -> range:
         return range(self.order)
 
-    def neighbor(self, v: int, c: int) -> int:
-        return self.matchings[c][v]
-
     def check_color(self, c: int) -> None:
         if not (0 <= c <= self.n):
             raise ColorRangeError(f"color {c} outside 0..{self.n}")
@@ -180,9 +177,6 @@ class Bipartition:
     """The two vertex classes of a bipartite graph."""
 
     classes: tuple[frozenset, frozenset]
-
-    def side(self, v: int) -> int:
-        return 0 if v in self.classes[0] else 1
 
 
 class Equivalence(Enum):

@@ -2,9 +2,10 @@
 connected sums, vertex indices, internalization, and simplification.
 
 The mechanical layer (finding candidate pairs, surgery on matchings) needs no
-topology; labeling a dipole ordinary or singular consults the residue
-classification from `singularity`, imported lazily to keep the module graphs
-acyclic.
+topology.  `find_dipoles` labels every dipole from the graph's residue
+classification; `simplify` cancels the dipole `singularity.certified_site`
+picks, which classifies only the residues it tries.  Both imports from
+`singularity` are lazy to keep the module graph acyclic.
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ class Dipole:
 
 def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
     return tuple(c for c in g.colors if g.matchings[c][v] == w)
-
-
-def is_dipole_site(g: ColoredGraph, v: int, w: int) -> bool:
-    """True iff (v, w) spans a dipole: joined by 1..n colors and separated
-    on the complementary colors."""
-    cols = joined_colors(g, v, w)
-    if not 1 <= len(cols) <= g.n:
-        return False
-    return _separated(g, v, w, complement(mask_of(cols), g.n))
 
 
 def _separated(g: ColoredGraph, v: int, w: int, mask: int) -> bool:
@@ -335,22 +327,23 @@ class SimplifyResult:
 def simplify(g: ColoredGraph) -> SimplifyResult:
     """Cancel proper dipoles until none are certified ordinary.
 
-    Largest dipoles go first (top-size dipoles never need residue
-    classification), ties broken by smallest vertex pair.  If unclassifiable
-    dipoles remain at the end the result is flagged incomplete, since an
-    ordinary dipole may be hiding among them.
+    Each step cancels the site `singularity.certified_site` picks: largest
+    dipoles first (top-size dipoles never need residue classification), ties
+    broken by smallest vertex pair.  Only the final graph is classified in
+    full: if unclassifiable dipoles remain the result is flagged incomplete,
+    since an ordinary dipole may be hiding among them.
     """
+    from .singularity import certified_site
+
     cur = g
     cancelled = []
-    while True:
-        dipoles = find_dipoles(cur)
-        ordinary = [d for d in dipoles if d.kind is DipoleKind.ORDINARY]
-        if not ordinary:
-            unresolved = [d for d in dipoles if d.kind is None]
-            return SimplifyResult(cur, complete=not unresolved, cancelled=tuple(cancelled))
-        pick = max(ordinary, key=lambda d: (d.h, tuple(-x for x in d.vertices)))
+    while (site := certified_site(cur)) is not None:
+        v, w, cols = site
+        pick = Dipole((v, w), cols, DipoleKind.ORDINARY, Properness.PROPER)
         cur = cancel_dipole(cur, pick)
         cancelled.append(pick)
+    complete = all(d.kind is not None for d in find_dipoles(cur))
+    return SimplifyResult(cur, complete=complete, cancelled=tuple(cancelled))
 
 
 def inflate(g: ColoredGraph, k: int, rng: random.Random) -> ColoredGraph:

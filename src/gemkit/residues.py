@@ -8,7 +8,6 @@ residues under containment drives every topological computation downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import ColorRangeError
@@ -85,10 +84,6 @@ class ResidueView:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def as_graph(self) -> ColoredGraph:
         """Re-index vertices to 0..size-1 keeping the color order.

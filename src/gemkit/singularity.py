@@ -69,8 +69,10 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     """Decide whether the cone space of g is a sphere of dimension n.
 
     Verdicts carry a checkable certificate.  Unknown appears only in
-    represented dimension >= 3, where recognition is undecidable in general;
-    the reduction budget defaults to 10 * order cancellations.
+    represented dimension >= 3, where recognition is undecidable in general.
+    `step_limit` caps the cancellations of this reduction and of every nested
+    one, and bypasses the cache; without it a reduction runs until it stalls
+    or reaches order two.
     """
     cacheable = step_limit is None
     key = canonical_code(g).code if cacheable else b""
@@ -131,8 +133,7 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
         if not h1.trivial:
             return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
 
-    limit = step_limit if step_limit is not None else 10 * g.order
-    steps = _reduce_to_point(g, limit)
+    steps = _reduce_to_point(g, step_limit)
     if steps is not None:
         return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {steps} moves")
     reason = "reduction stalled"
@@ -141,13 +142,13 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
     return SphereStatus(Verdict.UNKNOWN, reason)
 
 
-def _reduce_to_point(g: ColoredGraph, limit: int) -> Optional[int]:
+def _reduce_to_point(g: ColoredGraph, step_limit: Optional[int]) -> Optional[int]:
     """Greedily cancel certified-ordinary dipoles; step count if the order-2
     graph is reached, None if the reduction stalls or overruns."""
     cur = g
     steps = 0
-    while cur.order > 2 and steps < limit:
-        site = _safe_site(cur)
+    while cur.order > 2 and (step_limit is None or steps < step_limit):
+        site = certified_site(cur, step_limit)
         if site is None:
             return None
         cur = cancel_site(cur, site[0], site[1])
@@ -155,19 +156,27 @@ def _reduce_to_point(g: ColoredGraph, limit: int) -> Optional[int]:
     return steps if cur.order == 2 else None
 
 
-def _safe_site(g: ColoredGraph) -> Optional[tuple[int, int]]:
-    """A dipole whose cancellation provably preserves the cone space:
-    largest color count first, then smallest vertex pair."""
+def certified_site(
+    g: ColoredGraph, step_limit: Optional[int] = None
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """The first dipole site (v, w, colors) whose cancellation provably
+    preserves the cone space, largest color count first, then smallest
+    vertex pair; None if there is none.
+
+    Certified means exactly what `find_dipoles` labels ordinary: the
+    complement residue through v or w is a sphere (always so for n-1 or
+    more colors, whose complement residues are edges or cycles).
+    """
     n = g.n
     sites = sorted(dipole_sites(g), key=lambda s: (-len(s[2]), s[0], s[1]))
     for v, w, cols in sites:
         if len(cols) >= n - 1:
-            return (v, w)  # complement residues are edges or cycles
+            return (v, w, cols)
         comp = complement(mask_of(cols), n)
         for u in (v, w):
             rv = _component_view(g, comp, u)
-            if sphere_status(rv.as_graph()).verdict is Verdict.SPHERE:
-                return (v, w)
+            if sphere_status(rv.as_graph(), step_limit).verdict is Verdict.SPHERE:
+                return (v, w, cols)
     return None
 
 
@@ -255,9 +264,6 @@ class Classification:
         if ResidueClass.UNKNOWN in classes:
             return None
         return True
-
-    def ordinary_colors(self) -> list[int]:
-        return [c for c in range(self.lattice.n + 1) if self.color_is_ordinary(c) is True]
 
 
 def classify_graph(g: ColoredGraph) -> Classification:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gemkit import parse_code_line
 from gemkit.library import (
     k2,
     order4_nonbipartite,
@@ -21,6 +22,15 @@ def t6():
 @pytest.fixture
 def k24():
     return k2(4)
+
+
+@pytest.fixture
+def sphere8():
+    """An order-8 supercontracted 4-sphere whose only dipoles have two
+    colors, so picking each cancellation on it recognizes a residue."""
+    return parse_code_line(
+        "4;8;1,0,6,5,7,3,2,4;2,4,0,6,1,7,3,5;2,4,0,6,1,7,3,5;1,0,4,5,2,3,7,6;3,5,6,0,7,1,2,4"
+    )
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, canonical tables by exhaustive minimization without pruning.
+The one exception, `simplify_by_reclassification`, keeps an earlier policy
+of the package as a reference for the one that replaced it.
 """
 
 import itertools
@@ -168,3 +170,23 @@ def canonical_table(rows, color_permuting=False):
         for perm in itertools.permutations(range(k))
         if all(sig[perm[i]] <= sig[perm[i + 1]] for i in range(k - 1))
     )
+
+
+def simplify_by_reclassification(g):
+    """The original `simplify` loop: label every dipole of the whole graph
+    with `find_dipoles` after each move, cancel the ordinary one with the
+    most colors and the smallest vertex pair, and stop when none is left.
+    Returns (graph, cancelled dipoles, complete)."""
+    from gemkit import DipoleKind, cancel_dipole, find_dipoles
+
+    cur = g
+    cancelled = []
+    while True:
+        dipoles = find_dipoles(cur)
+        ordinary = [d for d in dipoles if d.kind is DipoleKind.ORDINARY]
+        if not ordinary:
+            complete = all(d.kind is not None for d in dipoles)
+            return cur, tuple(cancelled), complete
+        pick = max(ordinary, key=lambda d: (d.h, tuple(-x for x in d.vertices)))
+        cur = cancel_dipole(cur, pick)
+        cancelled.append(pick)

@@ -8,8 +8,10 @@ import pytest
 from gemkit import (
     BudgetExceededError,
     ColoredGraph,
+    DipoleKind,
     Equivalence,
     canonical_code,
+    find_dipoles,
     format_code_line,
     parse_code_line,
     parse_gem,
@@ -159,6 +161,27 @@ def test_filters():
         CensusParams(n=4, order=4, supercontracted=True, no_ordinary_dipoles=True)
     )
     assert no_dip.count == 2  # the bipartite class reduces; the others are rigid
+
+
+@pytest.mark.parametrize(
+    "n, order, supercontracted", [(3, 6, False), (4, 6, True)], ids=["n3o6", "n4o6sc"]
+)
+def test_no_ordinary_dipoles_filter_matches_find_dipoles(n, order, supercontracted):
+    """The census filter keeps exactly the classes in which `find_dipoles`
+    labels no dipole ordinary."""
+    plain = enumerate_census(CensusParams(n=n, order=order, supercontracted=supercontracted))
+    filtered = enumerate_census(
+        CensusParams(
+            n=n, order=order, supercontracted=supercontracted, no_ordinary_dipoles=True
+        )
+    )
+    expected = tuple(
+        line
+        for line in plain.entries
+        if not any(d.kind is DipoleKind.ORDINARY for d in find_dipoles(parse_code_line(line)))
+    )
+    assert filtered.entries == expected
+    assert 0 < filtered.count < plain.count
 
 
 def test_budget():

@@ -1,5 +1,7 @@
 """Dipole moves, suspension, connected sums, vertex indices, simplify."""
 
+import random
+
 import pytest
 
 from gemkit import (
@@ -27,6 +29,7 @@ from gemkit import (
 )
 from gemkit.census import random_graph
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
+from oracles import simplify_by_reclassification
 
 
 def bridge_on_colors(a: ColoredGraph, b: ColoredGraph, colors) -> ColoredGraph:
@@ -386,3 +389,48 @@ def test_inflate_then_simplify_fingerprint(rng):
         res = simplify(grown)
         assert res.complete
         assert fingerprint(res.graph).space_key() == before
+
+
+def _grow(base, rounds, rng):
+    """Insert `rounds` dipoles whose sizes cycle through 1..n."""
+    cur = base
+    for i in range(rounds):
+        h = 1 + i % base.n
+        cur = add_dipole(cur, rng.randrange(cur.order), rng.sample(range(cur.n + 1), h))
+    return cur
+
+
+def test_simplify_matches_full_reclassification(sphere8):
+    """`simplify` cancels the same dipoles, in the same order, as the loop
+    that reclassified the whole graph after every move."""
+    bases = [
+        k2(3), rp3(), torus_interval(),  # n=3
+        k2(4), q4(), order4_nonbipartite(0), torus_disk(),  # n=4
+        sphere8,
+    ]
+    for base in bases:
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for grown in (_grow(base, 2 * base.n, rng), inflate(base, 6, rng)):
+                res = simplify(grown)
+                assert (res.graph, res.cancelled, res.complete) == (
+                    simplify_by_reclassification(grown)
+                )
+
+
+def test_simplify_classifies_the_graph_once(monkeypatch):
+    """Sites are certified one at a time; only the final graph is classified
+    in full, to decide `complete`."""
+    import gemkit.singularity
+
+    calls = []
+    classify = gemkit.singularity.classify_graph
+
+    def counting(g):
+        calls.append(g.order)
+        return classify(g)
+
+    monkeypatch.setattr(gemkit.singularity, "classify_graph", counting)
+    res = simplify(inflate(k2(4), 25, random.Random(3)))
+    assert res.complete and res.graph.order == 2
+    assert len(calls) <= 1

@@ -3,6 +3,7 @@ manifold tests, boundary structure."""
 
 import gc
 import itertools
+import random
 import weakref
 
 from gemkit import (
@@ -15,6 +16,7 @@ from gemkit import (
     euler_characteristics,
     g_degree,
     h1_manifold,
+    inflate,
     is_closed_manifold,
     is_singular_manifold,
     quasi_manifold_euler,
@@ -323,6 +325,28 @@ def test_h1_rp3():
 def test_h1_torus_spaces():
     assert str(h1_manifold(torus_disk())) == "Z+Z"
     assert str(h1_manifold(torus_interval())) == "Z+Z"
+
+
+def test_step_limit_reaches_nested_recognition(monkeypatch, sphere8):
+    """A caller's reduction budget binds every nested recognition, the
+    complement residues tried while picking a dipole included."""
+    import gemkit.singularity
+
+    limits = []
+    impl = gemkit.singularity._sphere_status_impl
+
+    def spy(g, step_limit):
+        limits.append(step_limit)
+        return impl(g, step_limit)
+
+    monkeypatch.setattr(gemkit.singularity, "_SPHERE_CACHE", {})
+    monkeypatch.setattr(gemkit.singularity, "_sphere_status_impl", spy)
+    for k, seed in ((0, 1), (2, 1), (3, 2)):
+        for base in (q4(), sphere8):
+            limits.clear()
+            sphere_status(inflate(base, k, random.Random(seed)), step_limit=5)
+            assert len(limits) > 1
+            assert set(limits) == {5}
 
 
 def test_unresolved_refusal():
