@@ -46,14 +46,13 @@ class CensusParams:
     bipartite: Optional[bool] = None  # True: only, False: exclude, None: both
     supercontracted: bool = False
     no_ordinary_dipoles: bool = False
-    budget: tuple[int, int] = DEFAULT_BUDGET
 
     def validate(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.order < 2 or self.order % 2:
             raise ValueError("order must be even and >= 2")
-        max_n, max_order = self.budget
+        max_n, max_order = DEFAULT_BUDGET
         if self.n > max_n or self.order > max_order:
             raise BudgetExceededError(
                 f"census n={self.n}, order={self.order} exceeds budget "

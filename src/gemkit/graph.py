@@ -163,11 +163,6 @@ class ColoredGraph:
         cls1 = frozenset(v for v in self.vertices if side[v] == 1)
         return Bipartition((cls0, cls1))
 
-    # ---- canonical codes ----
-
-    def canonical_code(self, equivalence: "Equivalence" = None) -> "CanonicalCode":
-        return canonical_code(self, equivalence or Equivalence.COLOR_PRESERVING)
-
     def __repr__(self) -> str:  # keep tracebacks readable
         return f"ColoredGraph(n={self.n}, order={self.order})"
 
@@ -506,9 +501,9 @@ def format_code_line(g: ColoredGraph) -> str:
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628")
 
 
-def export_dot(g: ColoredGraph, name: str = "gem") -> str:
+def export_dot(g: ColoredGraph) -> str:
     """Graphviz text with one styled parallel edge per (vertex pair, color)."""
-    out = [f"graph {name} {{"]
+    out = ["graph gem {"]
     out.append('  node [shape=circle, fontsize=10];')
     for v in g.vertices:
         out.append(f"  {v};")

@@ -22,16 +22,10 @@ Word = tuple  # tuple[tuple[int, int], ...]: (generator index, +1 | -1)
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Finite presentation with integer-indexed generators.
-
-    ``extra_killed`` records which single-generator relators were appended to
-    connect the color-complement residues; they are also present in
-    ``relators``.
-    """
+    """Finite presentation with integer-indexed generators."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    extra_killed: tuple[int, ...] = ()
 
     def abelianized_rows(self) -> list[list[int]]:
         """Exponent-sum matrix, one row per relator."""
@@ -152,9 +146,8 @@ def connecting_relators(g: ColoredGraph, c: int) -> tuple[int, ...]:
 def quotient_presentation(g: ColoredGraph, c: int) -> GroupPresentation:
     """The c-group with a spanning set of c-edges added as relators."""
     pres = c_group_presentation(g, c)
-    killed = connecting_relators(g, c)
-    extra = tuple(((k, 1),) for k in killed)
-    return GroupPresentation(pres.generators, pres.relators + extra, killed)
+    extra = tuple(((k, 1),) for k in connecting_relators(g, c))
+    return GroupPresentation(pres.generators, pres.relators + extra)
 
 
 # ============================================================

@@ -11,12 +11,13 @@ refuse with UnresolvedResidueError instead of reporting on partial data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, _component, canonical_code
+from .graph import ColoredGraph, _component
 from .groups import AbelianInvariants, homology_h1, quotient_presentation
 from .moves import cancel_site, dipole_sites
 from .residues import (
@@ -46,9 +47,6 @@ class ResidueClass(Enum):
     UNKNOWN = "unknown"
 
 
-_SPHERE_CACHE: dict[bytes, SphereStatus] = {}
-
-
 # ============================================================
 # Sphere recognition
 # ============================================================
@@ -57,34 +55,18 @@ _SPHERE_CACHE: dict[bytes, SphereStatus] = {}
 def quasi_manifold_euler(g: ColoredGraph) -> int:
     """Euler characteristic of the cone space, from residue counts alone:
     alternating sum of h-residue counts weighted by (-1)^(n-h)."""
-    return _chi_hat_from_lattice(g.lattice)
-
-
-def _chi_hat_from_lattice(lattice: ResidueLattice) -> int:
-    n = lattice.n
-    return sum((-1) ** (n - h) * k for h, k in lattice.rank_counts().items())
+    return sum((-1) ** (g.n - h) * k for h, k in g.lattice.rank_counts().items())
 
 
 def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereStatus:
     """Decide whether the cone space of g is a sphere of dimension n.
 
-    Verdicts carry a checkable certificate.  Unknown appears only in
-    represented dimension >= 3, where recognition is undecidable in general.
-    `step_limit` caps the cancellations of this reduction and of every nested
-    one, and bypasses the cache; without it a reduction runs until it stalls
-    or reaches order two.
+    Verdicts carry a checkable certificate about g itself.  Unknown appears
+    only in represented dimension >= 3, where recognition is undecidable in
+    general.  `step_limit` caps the cancellations of this reduction and of
+    every nested one; without it a reduction runs until it stalls or reaches
+    order two.
     """
-    cacheable = step_limit is None
-    key = canonical_code(g).code if cacheable else b""
-    if cacheable and key in _SPHERE_CACHE:
-        return _SPHERE_CACHE[key]
-    status = _sphere_status_impl(g, step_limit)
-    if cacheable:
-        _SPHERE_CACHE[key] = status
-    return status
-
-
-def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereStatus:
     n = g.n
     if g.order == 2:
         return SphereStatus(Verdict.SPHERE, "order-2 graph")
@@ -92,10 +74,8 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
         return SphereStatus(Verdict.SPHERE, "bicolored cycle")
 
     bip = g.is_bipartite()
-    lattice = g.lattice
-
     if n == 2:
-        chi = _chi_hat_from_lattice(lattice)
+        chi = quasi_manifold_euler(g)
         if bip is not None and chi == 2:
             return SphereStatus(Verdict.SPHERE, "closed orientable surface with chi=2")
         return SphereStatus(
@@ -106,7 +86,7 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
     if bip is None:
         return SphereStatus(Verdict.NOT_SPHERE, "not bipartite, hence not orientable")
 
-    chi = _chi_hat_from_lattice(lattice)
+    chi = quasi_manifold_euler(g)
     target = 2 if n % 2 == 0 else 0
     if chi != target:
         return SphereStatus(Verdict.NOT_SPHERE, f"chi={chi}, a {n}-sphere needs {target}")
@@ -114,7 +94,7 @@ def _sphere_status_impl(g: ColoredGraph, step_limit: Optional[int]) -> SphereSta
     # classify every residue on 3..n colors; a singular one kills sphereness
     unknown_present = False
     bad_colors: set[int] = set()  # colors whose complement residues are uncertified
-    for rv in lattice.all_residues(min_h=3):
+    for rv in g.lattice.all_residues(min_h=3):
         sub = sphere_status(rv.as_graph(), step_limit)
         if sub.verdict is Verdict.NOT_SPHERE:
             return SphereStatus(
@@ -204,6 +184,16 @@ def classify_residue(rv: ResidueView) -> ResidueClass:
     return ResidueClass.UNKNOWN
 
 
+def _all_ordinary(classes) -> Optional[bool]:
+    """False if any class is singular, else None if any is unknown, else True."""
+    classes = set(classes)
+    if ResidueClass.SINGULAR in classes:
+        return False
+    if ResidueClass.UNKNOWN in classes:
+        return None
+    return True
+
+
 @dataclass(frozen=True)
 class Classification:
     """Residue classes for one graph, backed by its full lattice."""
@@ -236,34 +226,19 @@ class Classification:
                 residues=tuple(rv.key for rv in bad),
             )
 
-    def singular_views(self, h: Optional[int] = None) -> list[ResidueView]:
+    def singular_views(self) -> list[ResidueView]:
         out = [
             rv
             for rv in self.lattice.all_residues(min_h=3)
             if self.classes[rv.key] is ResidueClass.SINGULAR
         ]
-        if h is not None:
-            out = [rv for rv in out if rv.h == h]
         out.sort(key=lambda rv: rv.key)
-        return out
-
-    def rank_class_counts(self, cls: ResidueClass) -> dict[int, int]:
-        """Number of h-residues in the given class, for every h."""
-        out = {h: 0 for h in range(self.lattice.n + 1)}
-        for rv in self.lattice.all_residues():
-            if self.of(rv) is cls:
-                out[rv.h] += 1
         return out
 
     def color_is_ordinary(self, c: int) -> Optional[bool]:
         """Whether every residue missing color c is ordinary (None = unknown)."""
         n = self.lattice.n
-        classes = [self.of(rv) for rv in self.lattice.residues(complement(1 << c, n))]
-        if ResidueClass.SINGULAR in classes:
-            return False
-        if ResidueClass.UNKNOWN in classes:
-            return None
-        return True
+        return _all_ordinary(self.of(rv) for rv in self.lattice.residues(complement(1 << c, n)))
 
 
 def classify_graph(g: ColoredGraph) -> Classification:
@@ -350,23 +325,13 @@ def singular_summary(g: ColoredGraph) -> SingularSetSummary:
 def is_closed_manifold(g: ColoredGraph) -> Optional[bool]:
     """True/False when every top residue is classified, else None."""
     cls = g.classification
-    tops = [cls.of(rv) for rv in cls.lattice.all_residues(min_h=g.n, max_h=g.n)]
-    if ResidueClass.SINGULAR in tops:
-        return False
-    if ResidueClass.UNKNOWN in tops:
-        return None
-    return True
+    return _all_ordinary(cls.of(rv) for rv in cls.lattice.all_residues(min_h=g.n, max_h=g.n))
 
 
 def is_singular_manifold(g: ColoredGraph) -> Optional[bool]:
     """Whether every singular residue (if any) uses all but one color."""
     cls = g.classification
-    below = [cls.of(rv) for rv in cls.lattice.all_residues(min_h=3, max_h=g.n - 1)]
-    if ResidueClass.SINGULAR in below:
-        return False
-    if ResidueClass.UNKNOWN in below:
-        return None
-    return True
+    return _all_ordinary(cls.of(rv) for rv in cls.lattice.all_residues(min_h=3, max_h=g.n - 1))
 
 
 @dataclass(frozen=True)
@@ -382,13 +347,11 @@ def euler_characteristics(g: ColoredGraph) -> EulerCharacteristics:
     cls = g.classification
     cls.require_resolved("Euler characteristics")
     n = g.n
-    ordinary = cls.rank_class_counts(ResidueClass.ORDINARY)
-    singular = cls.rank_class_counts(ResidueClass.SINGULAR)
-    total = cls.lattice.rank_counts()
+    singular = Counter(rv.h for rv in cls.singular_views())
     return EulerCharacteristics(
-        chi_m=sum((-1) ** h * k for h, k in ordinary.items()),
-        chi_hat_m=sum((-1) ** (n - h) * k for h, k in total.items()),
-        chi_singular_set=sum((-1) ** (n - h) * k for h, k in singular.items() if h >= 3),
+        chi_m=sum((-1) ** h * (k - singular[h]) for h, k in cls.lattice.rank_counts().items()),
+        chi_hat_m=quasi_manifold_euler(g),
+        chi_singular_set=sum((-1) ** (n - h) * k for h, k in singular.items()),
     )
 
 

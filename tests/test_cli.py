@@ -1,19 +1,25 @@
 """Command-line behavior: reports, transforms, enumeration, exit codes,
 golden record output."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gemkit
 from gemkit import format_gem, parse_gem
 from gemkit.cli import main
 from gemkit.library import q4, torus6
 
+_SRC = os.path.dirname(os.path.dirname(gemkit.__file__))
 
-def run_cli(*argv, env=None):
+
+def run_cli(*argv):
+    """Run the CLI in a child interpreter that imports the gemkit under test."""
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     cmd = [sys.executable, "-m", "gemkit.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture

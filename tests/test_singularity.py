@@ -1,9 +1,11 @@
 """Sphere recognition, residue classes, singular sets, Euler numbers,
 manifold tests, boundary structure."""
 
+import dataclasses
 import gc
 import itertools
 import random
+import re
 import weakref
 
 from gemkit import (
@@ -19,6 +21,7 @@ from gemkit import (
     inflate,
     is_closed_manifold,
     is_singular_manifold,
+    parse_code_line,
     quasi_manifold_euler,
     residue_lattice,
     residues,
@@ -193,6 +196,23 @@ def test_manifold_flags():
     assert is_closed_manifold(rp3()) is True
 
 
+def test_manifold_flags_singular_outranks_unknown():
+    """One singular top residue decides False even when others are unknown;
+    with no singular one left, an unknown one gives None."""
+    g = torus_disk()
+    cls = g.classification
+    tops = [rv.key for rv in cls.lattice.all_residues(min_h=g.n, max_h=g.n)]
+    singular = [key for key in tops if cls.classes[key] is ResidueClass.SINGULAR]
+    assert len(singular) > 1
+    for doubtful, expected in ((singular[1:], False), (singular, None)):
+        classes = dict(cls.classes)
+        for key in doubtful:
+            classes[key] = ResidueClass.UNKNOWN
+        h = torus_disk()
+        h.__dict__["classification"] = dataclasses.replace(cls, classes=classes)
+        assert is_closed_manifold(h) is expected
+
+
 def test_closed_means_empty_singular_set(fixtures_all, rng):
     graphs = fixtures_all + [random_graph(4, 6, rng) for _ in range(15)]
     for g in graphs:
@@ -333,20 +353,38 @@ def test_step_limit_reaches_nested_recognition(monkeypatch, sphere8):
     import gemkit.singularity
 
     limits = []
-    impl = gemkit.singularity._sphere_status_impl
 
-    def spy(g, step_limit):
+    def spy(g, step_limit=None):
         limits.append(step_limit)
-        return impl(g, step_limit)
+        return sphere_status(g, step_limit)
 
-    monkeypatch.setattr(gemkit.singularity, "_SPHERE_CACHE", {})
-    monkeypatch.setattr(gemkit.singularity, "_sphere_status_impl", spy)
+    # nested calls resolve the module-level name, so they reach the spy
+    monkeypatch.setattr(gemkit.singularity, "sphere_status", spy)
     for k, seed in ((0, 1), (2, 1), (3, 2)):
         for base in (q4(), sphere8):
             limits.clear()
-            sphere_status(inflate(base, k, random.Random(seed)), step_limit=5)
+            gemkit.singularity.sphere_status(inflate(base, k, random.Random(seed)), step_limit=5)
             assert len(limits) > 1
             assert set(limits) == {5}
+
+
+def test_certificate_names_a_residue_of_the_graph_given():
+    """A verdict on a relabeled copy of a graph already recognized names a
+    singular residue of the copy, not of the first graph seen."""
+    g = parse_code_line(
+        "4;8;1,0,3,2,5,4,7,6;5,2,1,4,3,0,7,6;3,6,7,0,5,4,1,2;3,4,5,0,1,2,7,6;1,0,7,4,3,6,5,2"
+    )
+    h = g.relabel(list(reversed(range(8))))
+    assert sphere_status(g).verdict is Verdict.NOT_SPHERE
+    st = sphere_status(h)
+    assert st.verdict is Verdict.NOT_SPHERE
+    match = re.match(r"singular \(([\d, ]+)\) residue at vertex (\d+)", st.certificate)
+    assert match, st.certificate
+    cols = tuple(int(c) for c in match.group(1).split(","))
+    v = int(match.group(2))
+    rv = h.lattice.residue_containing(cols, v)
+    assert rv.vertices[0] == v
+    assert classify_residue(rv) is ResidueClass.SINGULAR
 
 
 def test_unresolved_refusal():
