@@ -41,8 +41,9 @@ class ColoredGraph:
     """Connected (n+1)-regular multigraph with a proper (n+1)-edge-coloring.
 
     Immutable; all operations elsewhere in the package return new graphs.
-    The residue lattice and its classification are computed on first use
-    and kept on the graph (equality and hashing still read only `matchings`).
+    The residue lattice and its classification are made on first use and
+    kept on the graph (equality and hashing still read only `matchings`);
+    the lattice walks each color set when that set is first read.
     """
 
     matchings: Matchings
@@ -115,7 +116,8 @@ class ColoredGraph:
 
     @cached_property
     def lattice(self) -> ResidueLattice:
-        """Every residue on a proper color subset, with containment."""
+        """Every residue on a proper color subset, with containment, each
+        color set walked when first read."""
         from .residues import residue_lattice
 
         return residue_lattice(self)

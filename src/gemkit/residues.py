@@ -109,9 +109,13 @@ def residues(g: ColoredGraph, colors) -> list[ResidueView]:
 
     For the empty color set each vertex is its own residue.
     """
-    mask = _as_mask(colors, g.n)
-    rows = [g.matchings[c] for c in colors_of(mask)]
-    return [ResidueView(g.matchings, mask, tuple(comp)) for comp in _components(rows, g.order)]
+    return list(_walk(g.matchings, _as_mask(colors, g.n)))
+
+
+def _walk(matchings: Matchings, mask: int) -> tuple[ResidueView, ...]:
+    rows = [matchings[c] for c in colors_of(mask)]
+    comps = _components(rows, len(matchings[0]))
+    return tuple(ResidueView(matchings, mask, tuple(comp)) for comp in comps)
 
 
 def residue_count(g: ColoredGraph, colors) -> int:
@@ -132,60 +136,68 @@ def is_supercontracted(g: ColoredGraph) -> bool:
 class ResidueLattice:
     """All residues of a graph for every proper color subset, with containment.
 
-    Materialized eagerly: fewer than 2^(n+1) subsets, tiny for n <= 5.  The
-    cover relation links each residue to the unique residue one color richer
-    that contains it, one parent per added color.
+    Lazy: a color set is walked on first read and kept; counts on fewer
+    than two colors are closed forms.  Holds the matchings, never the graph.
+    The cover relation links each residue to the unique residue one color
+    richer that contains it, one parent per added color.
     """
 
     def __init__(self, g: ColoredGraph):
         self.n = g.n
-        self._by_mask: dict[int, tuple[ResidueView, ...]] = {}
-        self._comp_of: dict[int, tuple[int, ...]] = {}  # mask -> vertex -> index
-        # proper color subsets only: the whole graph is not a residue of itself
-        for mask in range(full_mask(g.n)):
-            views = tuple(residues(g, mask))
-            self._by_mask[mask] = views
-            comp = [0] * g.order
-            for i, rv in enumerate(views):
-                for v in rv.vertices:
-                    comp[v] = i
-            self._comp_of[mask] = tuple(comp)
+        self.order = g.order
+        self._matchings = g.matchings
+        self._views: dict[int, tuple[ResidueView, ...]] = {}
+        self._index: dict[int, dict[int, int]] = {}  # mask -> vertex -> position in views
+
+    def _mask(self, colors) -> int:
+        mask = _as_mask(colors, self.n)
+        if mask == full_mask(self.n):
+            raise ValueError(
+                f"color set {colors_of(mask)}: the whole graph is not a residue of itself")
+        return mask
+
+    def _read(self, mask: int) -> tuple[ResidueView, ...]:
+        views = self._views.get(mask)
+        if views is None:
+            views = self._views[mask] = _walk(self._matchings, mask)
+        return views
 
     def residues(self, colors) -> tuple[ResidueView, ...]:
-        return self._by_mask[_as_mask(colors, self.n)]
+        return self._read(self._mask(colors))
 
     def count(self, colors) -> int:
-        return len(self.residues(colors))
+        mask = self._mask(colors)
+        if mask & (mask - 1) == 0:  # every vertex is a 0-residue, every edge a 1-residue
+            return self.order if mask == 0 else self.order // 2
+        return len(self._read(mask))
 
     def residue_containing(self, colors, v: int) -> ResidueView:
-        mask = _as_mask(colors, self.n)
-        return self._by_mask[mask][self._comp_of[mask][v]]
+        mask = self._mask(colors)
+        views = self._read(mask)
+        index = self._index.get(mask)
+        if index is None:
+            index = self._index[mask] = {w: i for i, rv in enumerate(views) for w in rv.vertices}
+        return views[index[v]]
 
     def all_residues(self, min_h: int = 0, max_h: Optional[int] = None) -> Iterator[ResidueView]:
         hi = self.n if max_h is None else max_h
-        for mask, views in self._by_mask.items():
-            h = bin(mask).count("1")
-            if min_h <= h <= hi:
-                yield from views
+        for mask in range(full_mask(self.n)):
+            if min_h <= bin(mask).count("1") <= hi:
+                yield from self._read(mask)
 
     def by_rank(self, h: int) -> list[ResidueView]:
-        out = []
-        for mask, views in self._by_mask.items():
-            if bin(mask).count("1") == h:
-                out.extend(views)
-        out.sort(key=lambda rv: rv.key)
-        return out
+        return sorted(self.all_residues(h, h), key=lambda rv: rv.key)
 
     def counts_table(self) -> dict[tuple[int, ...], int]:
         """g_Delta for every color subset, keyed by the sorted color tuple."""
-        return {colors_of(mask): len(views) for mask, views in self._by_mask.items()}
+        return {colors_of(mask): self.count(mask) for mask in range(full_mask(self.n))}
 
     def rank_counts(self) -> dict[int, int]:
         """Total number of h-residues for each h."""
         out: dict[int, int] = {}
-        for mask, views in self._by_mask.items():
+        for mask in range(full_mask(self.n)):
             h = bin(mask).count("1")
-            out[h] = out.get(h, 0) + len(views)
+            out[h] = out.get(h, 0) + self.count(mask)
         return out
 
     # ---- order relation ----
@@ -222,5 +234,5 @@ class ResidueLattice:
 
 
 def residue_lattice(g: ColoredGraph) -> ResidueLattice:
-    """A new lattice of g; `g.lattice` builds one once and keeps it."""
+    """A new, unwalked lattice of g; `g.lattice` builds one once and keeps it."""
     return ResidueLattice(g)

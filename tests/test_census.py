@@ -26,6 +26,7 @@ from gemkit.census import (
     parse_catalogue,
     random_graph,
 )
+from gemkit.graph import canonical_matchings
 from oracles import canonical_table, table_components, two_coloring, union_find_components
 
 
@@ -118,6 +119,57 @@ def test_catalogue_bytes_pinned(params, digest):
     version."""
     text = format_catalogue(enumerate_census(params))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _seeded_report_catalogues(tmp_path):
+    """Three seeded n=4 catalogues, orders 8, 12 and 16 (a catalogue holds
+    one order), each half bipartite graphs and half `random_graph` draws."""
+    import random as random_mod
+
+    rng = random_mod.Random(2024)
+    paths = []
+    for order in (8, 12, 16):
+        tables = set()
+        while len(tables) < 8:
+            if len(tables) % 2:
+                g = random_graph(4, order, rng)
+            else:
+                rows = [tuple(v ^ 1 for v in range(order))]
+                for _ in range(4):
+                    odd = list(range(1, order, 2))
+                    rng.shuffle(odd)
+                    row = [0] * order
+                    for i, w in enumerate(odd):
+                        row[2 * i], row[w] = w, 2 * i
+                    rows.append(tuple(row))
+                if len(table_components(rows, order)) != 1:
+                    continue
+                g = ColoredGraph(rows)
+            tables.add(canonical_matchings(g.matchings))
+        graphs = [ColoredGraph(t) for t in tables]
+        bip = sum(1 for g in graphs if g.is_bipartite() is not None)
+        cat = Catalogue(
+            CensusParams(4, order, Equivalence.COLOR_PRESERVING),
+            tuple(sorted(format_code_line(g) for g in graphs)),
+            bip,
+            len(graphs) - bip,
+        )
+        path = tmp_path / f"r{order}.cat"
+        path.write_text(format_catalogue(cat), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_report_bytes_pinned(tmp_path, capsys):
+    """`gemkit report` stdout is byte-stable: residue, sphere and G-degree
+    code may change how it computes, not what it prints."""
+    from gemkit.cli import main
+
+    out = []
+    for path in _seeded_report_catalogues(tmp_path):
+        assert main(["report", path]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == "a5bd8eb9522f6756"
 
 
 def test_budget_edge_census():

@@ -1,6 +1,8 @@
 """Residue enumeration, counts, poset structure, supercontractedness."""
 
+import importlib
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -9,37 +11,16 @@ from gemkit import (
     ColorRangeError,
     ColoredGraph,
     is_supercontracted,
+    regular_genus,
     residue_count,
     residue_lattice,
     residues,
 )
 from gemkit.census import random_graph
-from gemkit.library import k2, q4, torus6
-
-
-# ============================================================
-# Independent oracle: union-find components over a color subset
-# ============================================================
-
-
-def _uf_components(g, cols):
-    parent = list(g.vertices)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in cols:
-        for v in g.vertices:
-            a, b = find(v), find(g.matchings[c][v])
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(vs)) for vs in groups.values())
+from gemkit.invariants import cyclic_orders
+from gemkit.library import k2, q4, rp3, torus6
+from gemkit.residues import colors_of, full_mask
+from oracles import union_find_components
 
 
 def test_k2_single_residue_per_subset():
@@ -59,7 +40,7 @@ def test_zero_residues_are_vertices(t6):
 
 def test_torus_pair_residues(t6):
     assert residue_count(t6, (0, 1)) == 1  # a single 6-cycle
-    assert _uf_components(t6, (0, 1)) == [tuple(range(6))]
+    assert union_find_components(t6, (0, 1)) == [tuple(range(6))]
 
 
 def test_residues_match_union_find(rng):
@@ -68,7 +49,7 @@ def test_residues_match_union_find(rng):
         for r in range(4):
             for cols in itertools.combinations(g.colors, r):
                 got = [rv.vertices for rv in residues(g, cols)]
-                assert got == _uf_components(g, cols)
+                assert got == union_find_components(g, cols)
 
 
 def test_color_out_of_range(t6):
@@ -125,6 +106,87 @@ def test_full_color_set_connectivity(fixtures_all):
     # with every color the graph is connected by construction
     for g in fixtures_all:
         assert residue_count(g, tuple(g.colors)) == 1
+
+
+def test_lattice_refuses_the_full_color_set():
+    """The whole graph is not a residue of itself: the lattice says so
+    instead of failing on a missing key."""
+    lattice = residue_lattice(rp3())
+    reads = (lattice.residues, lattice.count, lambda cols: lattice.residue_containing(cols, 0))
+    for read in reads:
+        for cols in ((0, 1, 2, 3), 15):
+            with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\).*not a residue of itself"):
+                read(cols)
+    with pytest.raises(ColorRangeError):
+        lattice.count(16)
+
+
+def test_lazy_lattice_equals_eager_reference():
+    """Every read of the lazy lattice equals union-find components of the
+    same color set, whatever was read before it."""
+    rng = random.Random(6)
+    for n in range(2, 6):
+        for _ in range(5):
+            g = random_graph(n, rng.randrange(2, 15, 2), rng)
+            masks = range(full_mask(n))
+            want = {mask: union_find_components(g, colors_of(mask)) for mask in masks}
+            ranks = {}
+            for mask in masks:
+                h = bin(mask).count("1")
+                ranks[h] = ranks.get(h, 0) + len(want[mask])
+            reads = [(op, mask) for mask in masks for op in ("residues", "count", "containing")]
+            reads.append(("ranks", None))
+            rng.shuffle(reads)
+            lattice = residue_lattice(g)
+            for op, mask in reads:
+                if op == "residues":
+                    views = lattice.residues(mask)
+                    assert [rv.vertices for rv in views] == want[mask]
+                    assert {rv.mask for rv in views} == {mask}
+                elif op == "count":
+                    assert lattice.count(mask) == len(want[mask])
+                elif op == "containing":
+                    for comp in want[mask]:
+                        for v in comp:
+                            assert lattice.residue_containing(mask, v).vertices == comp
+                else:
+                    assert list(lattice.rank_counts().items()) == sorted(ranks.items())
+
+
+def test_lattice_walks_only_what_is_read(monkeypatch):
+    """Counts on fewer than two colors are never walked, and no color set is
+    walked twice."""
+    module = importlib.import_module("gemkit.residues")  # `gemkit.residues` is the function
+    walked = []
+    walk = module._components
+
+    def spy(rows, order):
+        walked.append(len(rows))
+        return walk(rows, order)
+
+    monkeypatch.setattr(module, "_components", spy)
+    g = random_graph(4, 12, random.Random(8))
+
+    def fresh():
+        walked.clear()
+        return ColoredGraph(g.matchings)
+
+    h = fresh()
+    ranks = h.lattice.rank_counts()
+    assert len(walked) == 2**5 - 2 - 5 and min(walked) == 2
+    assert ranks[0] == 12 and ranks[1] == 5 * 6
+    walked.clear()
+    assert h.lattice.rank_counts() == ranks
+    h.lattice.counts_table()
+    assert walked == []
+
+    is_supercontracted(fresh())
+    assert walked == [4] * 5
+
+    h = fresh()
+    for eps in cyclic_orders(h.colors):
+        regular_genus(h, eps)
+    assert walked == [2] * 10
 
 
 def test_upward_uniqueness(rng):
