@@ -51,6 +51,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit()
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="gemkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -66,7 +72,7 @@ def build_parser() -> _Parser:
     pt.add_argument("file")
     pt.add_argument("--suspend", type=int, action="append", default=[], metavar="C",
                     help="duplicate color C as a new color (repeatable, in order)")
-    pt.add_argument("--inflate", type=int, default=0, metavar="K",
+    pt.add_argument("--inflate", type=_count, default=0, metavar="K",
                     help="add K random proper dipoles")
     pt.add_argument("--seed", type=int, default=0, help="seed for --inflate")
     pt.add_argument("--simplify", action="store_true",
@@ -163,7 +169,6 @@ def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
     else:
         chis = euler_characteristics(g)
         summary = singular_summary(g)
-        h1 = h1_manifold(g)
         rec.update(
             chi_M=chis.chi_m,
             chi_hatM=chis.chi_hat_m,
@@ -172,7 +177,7 @@ def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
             singular_manifold=is_singular_manifold(g),
             boundary_components=len(summary.components),
             singular_dimension="empty" if summary.is_empty else summary.dimension,
-            h1=str(h1) if h1 is not None else None,
+            h1=str(h1_manifold(g)),
         )
     if g.n >= 2:
         report = g_degree(g)

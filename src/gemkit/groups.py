@@ -158,52 +158,42 @@ def quotient_presentation(g: ColoredGraph, c: int) -> GroupPresentation:
 def smith_invariant_factors(rows: Iterable[Iterable[int]], width: int) -> list[int]:
     """Nonzero diagonal of the Smith normal form, as a divisibility chain.
 
-    Two phases: diagonalize with the globally smallest entry as pivot (picked
-    afresh after every reduction round, which keeps coefficient growth tame),
-    then sort divisibility into the diagonal by pairwise gcd/lcm exchanges,
-    which are realizable by elementary operations on a diagonal pair.
+    Sparse elimination on {column: entry} rows.  The pivot is a unit in the
+    shortest row holding one, else an entry of least absolute value; row
+    operations clear its column, after which column operations clear its
+    row alone.  A lone pivot is a diagonal entry; a remainder is the next,
+    smaller pivot.  Pairwise gcd/lcm exchanges, realizable by elementary
+    operations, then sort the diagonal into divisibility.
     """
-    mat = [list(r) for r in rows]
-    for r in mat:
+    mat = []
+    for r in map(list, rows):
         if len(r) != width:
             raise ValueError("ragged relator matrix")
-    nr, nc = len(mat), width
+        if any(r):
+            mat.append({j: x for j, x in enumerate(r) if x})
     diag: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        while True:
-            piv = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    x = mat[i][j]
-                    if x and (piv is None or abs(x) < abs(mat[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            if piv[0] != t:
-                mat[t], mat[piv[0]] = mat[piv[0]], mat[t]
-            if piv[1] != t:
-                for row in mat:
-                    row[t], row[piv[1]] = row[piv[1]], row[t]
-            pivot = mat[t][t]
-            for i in range(t + 1, nr):
-                q = mat[i][t] // pivot
-                if q:
-                    for j in range(t, nc):
-                        mat[i][j] -= q * mat[t][j]
-            for j in range(t + 1, nc):
-                q = mat[t][j] // pivot
-                if q:
-                    for i in range(t, nr):
-                        mat[i][j] -= q * mat[i][t]
-            if all(mat[i][t] == 0 for i in range(t + 1, nr)) and all(
-                mat[t][j] == 0 for j in range(t + 1, nc)
-            ):
-                break
-        if mat[t][t] == 0:
-            break
-        diag.append(abs(mat[t][t]))
-        t += 1
+    while mat:
+        units = [r for r in mat if 1 in r.values() or -1 in r.values()]
+        prow = min(units, key=len) if units else min(mat, key=lambda r: min(map(abs, r.values())))
+        j = min(prow, key=lambda k: abs(prow[k]))
+        p = prow[j]
+        clean = True
+        for r in mat:
+            if r is not prow and j in r:
+                q = r[j] // p
+                for k, x in prow.items():
+                    r[k] = r.get(k, 0) - q * x
+                    if not r[k]:
+                        del r[k]
+                clean = clean and j not in r
+        if clean:  # column operations reduce the rest of the pivot row mod p
+            rest = {k: x % p for k, x in prow.items() if x % p}
+            prow.clear()
+            if rest:
+                prow.update({**rest, j: p})
+            else:
+                diag.append(abs(p))
+        mat = [r for r in mat if r]
 
     # bubble gcd/lcm until the chain divides in order
     changed = True
@@ -218,11 +208,14 @@ def smith_invariant_factors(rows: Iterable[Iterable[int]], width: int) -> list[i
     return diag
 
 
+def h1_from_rows(rows: Iterable[Iterable[int]], width: int, cycle_rank: int) -> AbelianInvariants:
+    """The rank-`cycle_rank` summand of cycles in Z^width modulo the span of
+    `rows` inside it: its free rank, and the invariant factors above one."""
+    factors = smith_invariant_factors(rows, width)
+    return AbelianInvariants(cycle_rank - len(factors), tuple(d for d in factors if d > 1))
+
+
 def homology_h1(pres: GroupPresentation) -> AbelianInvariants:
     """Abelianization of the presented group, in invariant-factor form."""
-    factors = smith_invariant_factors(pres.abelianized_rows(), len(pres.generators))
-    rank = len(factors)
-    return AbelianInvariants(
-        free_rank=len(pres.generators) - rank,
-        torsion=tuple(d for d in factors if d > 1),
-    )
+    width = len(pres.generators)
+    return h1_from_rows(pres.abelianized_rows(), width, width)

@@ -216,7 +216,7 @@ class ManifoldFingerprint:
     bipartite: bool
     chi_m: int
     chi_hat_m: int
-    h1: Optional[AbelianInvariants]  # of the manifold; None if no color qualifies
+    h1: AbelianInvariants  # of the manifold
     boundary_components: int
     singular_shape: tuple  # sorted per-component (dimension, chi) pairs
     omega_reduced: Optional[int]  # n == 4 only
@@ -228,7 +228,7 @@ class ManifoldFingerprint:
             self.bipartite,
             self.chi_m,
             self.chi_hat_m,
-            str(self.h1) if self.h1 is not None else None,
+            str(self.h1),
             self.boundary_components,
             self.singular_shape,
         )
@@ -269,8 +269,7 @@ def classify_small(g: ColoredGraph) -> Optional[str]:
     four always give spheres, non-bipartite order four gives the twisted
     projective-plane bundle pieces, and the bipartite order-six graphs in
     dimensions three and four fall into the known short lists, separated
-    here by Euler characteristic, boundary count, homology, and the shape of
-    the singular set.
+    here by Euler characteristic, boundary count and homology.
     """
     if g.order > 6 or g.n > 4:
         raise OutOfTableRangeError(f"table covers order <= 6, n <= 4; got order {g.order}, n {g.n}")
@@ -296,7 +295,7 @@ def classify_small(g: ColoredGraph) -> Optional[str]:
     fp = fingerprint(g)
     h1 = fp.h1
     if n == 3:
-        if fp.boundary_components == 0 and h1 is not None and h1.trivial:
+        if fp.boundary_components == 0 and h1.trivial:
             return "S3"
         if fp.boundary_components == 1 and h1 == AbelianInvariants(1, ()):
             return "S1xB2"
@@ -312,9 +311,5 @@ def classify_small(g: ColoredGraph) -> Optional[str]:
         if h1 == AbelianInvariants(1, ()):
             return "S1xB3"
         if h1 == AbelianInvariants(2, ()):
-            return "S1xS1xB2"
-        if h1 is None and fp.singular_shape == ((1, 1),):
-            return "S1xB3"
-        if h1 is None and fp.singular_shape == ((1, 0),):
             return "S1xS1xB2"
     return None

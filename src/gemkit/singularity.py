@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import UnresolvedResidueError
 from .graph import ColoredGraph, _component
-from .groups import AbelianInvariants, homology_h1, quotient_presentation
+from .groups import AbelianInvariants, h1_from_rows
 from .moves import cancel_site, dipole_sites
 from .residues import (
     ResidueLattice,
@@ -61,11 +61,11 @@ def quasi_manifold_euler(g: ColoredGraph) -> int:
 def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereStatus:
     """Decide whether the cone space of g is a sphere of dimension n.
 
-    Verdicts carry a checkable certificate about g itself.  Unknown appears
-    only in represented dimension >= 3, where recognition is undecidable in
-    general.  `step_limit` caps the cancellations of this reduction and of
-    every nested one; without it a reduction runs until it stalls or reaches
-    order two.
+    Verdicts carry a checkable certificate about g itself.  Above dimension
+    two, NotSphere rests on orientability, the Euler count, a residue's own
+    verdict or the cone space's H1, which every graph has; Sphere on a
+    reduction to the order-2 graph; Unknown remains otherwise.  `step_limit`
+    caps the cancellations of this reduction and of every nested one.
     """
     n = g.n
     if g.order == 2:
@@ -93,7 +93,6 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
 
     # classify every residue on 3..n colors; a singular one kills sphereness
     unknown_present = False
-    bad_colors: set[int] = set()  # colors whose complement residues are uncertified
     for rv in g.lattice.all_residues(min_h=3):
         sub = sphere_status(rv.as_graph(), step_limit)
         if sub.verdict is Verdict.NOT_SPHERE:
@@ -101,21 +100,15 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
                 Verdict.NOT_SPHERE,
                 f"singular {rv.colors} residue at vertex {rv.vertices[0]}: {sub.certificate}",
             )
-        if sub.verdict is Verdict.UNKNOWN:
-            unknown_present = True
-            if rv.h == n:
-                bad_colors.update(set(range(n + 1)) - set(rv.colors))
+        unknown_present |= sub.verdict is Verdict.UNKNOWN
 
-    # first homology of the cone space, when one color carries all doubt
-    if len(bad_colors) <= 1:
-        c = next(iter(bad_colors), 0)
-        h1 = homology_h1(quotient_presentation(g, c))
-        if not h1.trivial:
-            return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
-
+    # H1 is read only when the reduction stalls: reaching order two proves it trivial
     steps = _reduce_to_point(g, step_limit)
     if steps is not None:
         return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {steps} moves")
+    h1 = h1_quasi_manifold(g)
+    if not h1.trivial:
+        return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
     reason = "reduction stalled"
     if unknown_present:
         reason += " with unclassified residues"
@@ -234,11 +227,6 @@ class Classification:
         ]
         out.sort(key=lambda rv: rv.key)
         return out
-
-    def color_is_ordinary(self, c: int) -> Optional[bool]:
-        """Whether every residue missing color c is ordinary (None = unknown)."""
-        n = self.lattice.n
-        return _all_ordinary(self.of(rv) for rv in self.lattice.residues(complement(1 << c, n)))
 
 
 def classify_graph(g: ColoredGraph) -> Classification:
@@ -368,7 +356,7 @@ class BoundaryPiece:
     order: int
     chi: int
     bipartite: bool
-    h1: Optional[AbelianInvariants]
+    h1: AbelianInvariants
 
 
 @dataclass(frozen=True)
@@ -437,28 +425,47 @@ def _piece(rv: ResidueView) -> BoundaryPiece:
 # ============================================================
 
 
-def h1_manifold(g: ColoredGraph) -> Optional[AbelianInvariants]:
-    """H1 of the compact manifold, via the quotiented c-group of the smallest
-    color all of whose complement residues are ordinary; None if no color
-    qualifies."""
-    if g.n == 1:
-        return AbelianInvariants(1, ())  # every bicolored cycle is a circle
-    cls = g.classification
-    for c in g.colors:
-        if cls.color_is_ordinary(c) is True:
-            return homology_h1(quotient_presentation(g, c))
-    return None
+def h1_manifold(g: ColoredGraph) -> AbelianInvariants:
+    """H1 of the compact manifold M_Gamma, for every graph.
+
+    Block-complex argument: an h-residue is the link of an (n-h)-simplex
+    of K(g), whose dual block is the cone on it, an h-cell exactly when the
+    residue is ordinary.  Residues containing a singular one are singular,
+    so the singular set is a subcomplex, and M_Gamma, the complement of its
+    open neighborhood, retracts onto one h-cell per ordinary h-residue.  No
+    residue on at most two colors is singular, so the 2-skeleton, which
+    carries H1, is g plus one disk per bicolored cycle.  As g is connected,
+    its cycles have rank E - (V - 1); the disks' boundary rows cut them down.
+    """
+    m = g.matchings
+    edges = {e: k for k, e in enumerate((c, v) for c in g.colors for v in g.vertices if v < m[c][v])}
+    rows = []
+    for rv in g.lattice.all_residues(2, 2):
+        row = [0] * len(edges)
+        v = rv.vertices[0]
+        for step in range(rv.size):  # once round the cycle, colors alternating
+            c = rv.colors[step % 2]
+            w = m[c][v]
+            row[edges[c, min(v, w)]] += 1 if v < w else -1
+            v = w
+        rows.append(row)
+    return h1_from_rows(rows, len(edges), len(edges) - g.order + 1)
 
 
-def h1_quasi_manifold(g: ColoredGraph) -> Optional[AbelianInvariants]:
-    """H1 of the cone space, via a color c such that every other color is
-    ordinary; None if no such color exists."""
-    if g.n == 1:
-        return AbelianInvariants(1, ())
-    cls = g.classification
-    flags = {c: cls.color_is_ordinary(c) for c in g.colors}
-    not_ordinary = [c for c, ok in flags.items() if ok is not True]
-    if len(not_ordinary) > 1:
-        return None
-    c = not_ordinary[0] if not_ordinary else 0
-    return homology_h1(quotient_presentation(g, c))
+def h1_quasi_manifold(g: ColoredGraph) -> AbelianInvariants:
+    """H1 of the cone space |K(Gamma)|, for every graph, from K's chain
+    complex: vertices, edges and triangles are the n-, (n-1)- and
+    (n-2)-residues, and the face dropping the i-th of the colors a residue
+    misses (in increasing order) enters its boundary with sign (-1)^i."""
+    n = g.n
+    lattice = g.lattice
+    edges = tuple(lattice.all_residues(n - 1, n - 1))
+    edge_at = {(rv.mask, v): k for k, rv in enumerate(edges) for v in rv.vertices}
+    rows = []
+    for rv in lattice.all_residues(n - 2, n - 2):
+        row = [0] * len(edges)
+        for i, c in enumerate(colors_of(complement(rv.mask, n))):
+            row[edge_at[rv.mask | 1 << c, rv.vertices[0]]] += (-1) ** i
+        rows.append(row)
+    vertices = sum(lattice.count(complement(1 << c, n)) for c in g.colors)
+    return h1_from_rows(rows, len(edges), len(edges) - vertices + 1)

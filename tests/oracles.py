@@ -44,6 +44,8 @@ def minor_gcd_invariant_factors(rows, width):
             for cis in itertools.combinations(range(width), k):
                 sub = [[rows[i][j] for j in cis] for i in ris]
                 g = gcd(g, abs(det(sub)))
+            if g == 1:  # no further minor can lower it
+                break
         if g == 0:
             break
         divisors.append(g)
@@ -106,6 +108,50 @@ def bicolored_cycles(rows, i, j):
             u = rows[j][step]
         count += 1
     return count
+
+
+def cycle_complex_h1(rows):
+    """H1 of a matching table plus one disk per bicolored cycle, as
+    (free rank, torsion): cycles walked edge by edge and counted against
+    `bicolored_cycles`, a BFS spanning tree contracted, each relator that is
+    a single generator used to delete it (a Tietze move), then invariant
+    factors by minor gcds."""
+    k, order = len(rows), len(rows[0])
+    edges = sorted({(c, min(v, rows[c][v])) for c in range(k) for v in range(order)})
+    col = {e: i for i, e in enumerate(edges)}
+    relators = []
+    for i, j in itertools.combinations(range(k), 2):
+        seen = set()
+        for start in range(order):
+            if start in seen:
+                continue
+            rel = [0] * len(edges)
+            v, c = start, i
+            while True:
+                seen.add(v)
+                w = rows[c][v]
+                rel[col[c, min(v, w)]] += 1 if v < w else -1
+                v, c = w, (j if c == i else i)
+                if v == start and c == i:
+                    break
+            relators.append(rel)
+    assert len(relators) == sum(bicolored_cycles(rows, i, j) for i, j in itertools.combinations(range(k), 2))
+    tree, reached = set(), [0]
+    for u in reached:
+        for c in range(k):
+            if rows[c][u] not in reached:
+                reached.append(rows[c][u])
+                tree.add(col[c, min(u, rows[c][u])])
+    mat = [[x for e, x in enumerate(rel) if e not in tree] for rel in relators]
+    while True:
+        single = next((r for r in mat if sorted(map(abs, r))[-2:] == [0, 1]), None)
+        if single is None:
+            break
+        gen = single.index(1) if 1 in single else single.index(-1)
+        mat = [r[:gen] + r[gen + 1:] for r in mat if r is not single]
+    width = len(edges) - len(tree) - (len(relators) - len(mat))
+    factors = minor_gcd_invariant_factors(mat, width)
+    return width - len(factors), tuple(d for d in factors if d > 1)
 
 
 def bigon_count(g):

@@ -125,6 +125,13 @@ def test_transform_inflate_seed_reproducible(q4_file):
     assert a.stdout != c.stdout
 
 
+def test_transform_negative_inflate_is_usage_error(q4_file):
+    result = run_cli("transform", "--inflate", "-4", q4_file)
+    assert result.returncode == 1
+    assert "--inflate" in result.stderr
+    assert result.stdout == ""
+
+
 def test_transform_simplify(q4_file):
     result = run_cli("transform", "--simplify", q4_file)
     assert result.returncode == 0

@@ -5,30 +5,40 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemkit import (
+    AbelianInvariants,
     ColorRangeError,
     HypothesisViolatedError,
     OutOfTableRangeError,
+    ResidueClass,
     classify_small,
     cyclic_orders,
     fingerprint,
     g_degree,
+    h1_manifold,
     h1_quasi_manifold,
     homology_h1,
+    inflate,
+    parse_code_line,
     pi1_presentation,
     regular_genus,
+    simplify,
 )
 from gemkit.census import random_graph
+from gemkit.residues import complement
 from gemkit.library import (
     k2,
     order4_nonbipartite,
     q4,
     rp3,
+    torus6,
     torus_disk,
     torus_interval,
 )
-from oracles import bicolored_cycles, bigon_count, union_find_components
+from oracles import bicolored_cycles, bigon_count, cycle_complex_h1, union_find_components
 
 
 # ============================================================
@@ -156,9 +166,11 @@ def test_pi1_order4_nonbipartite():
 
 
 def _color_singular(g, c):
-    from gemkit import classify_graph
-
-    return classify_graph(g).color_is_ordinary(c) is not True
+    cls = g.classification
+    return any(
+        cls.of(rv) is not ResidueClass.ORDINARY
+        for rv in cls.lattice.residues(complement(1 << c, g.n))
+    )
 
 
 def test_pi1_hypothesis_violation():
@@ -177,23 +189,83 @@ def test_pi1_hatm_on_closed_graph():
 
 
 def test_h1_quasi_manifold_matches_hatm_presentation(fixtures_all):
-    """h1_quasi_manifold is H1 of the cone-space presentation for every color
-    where that presentation's hypothesis holds, and None when none does."""
-    covered = 0
-    for g in fixtures_all:
-        valid = []
+    """Both H1 functions answer on every graph, and equal H1 of the paper's
+    presentation ("m" for the manifold, "hatm" for the cone space) for
+    every color where that presentation's hypothesis holds."""
+    rng = random.Random(20261018)
+    graphs = fixtures_all + [
+        random_graph(n, order, rng)
+        for n in range(2, 6)
+        for order in range(2, 16, 2)
+        for _ in range(4)
+    ]
+    covered = {"m": 0, "hatm": 0}
+    for g in graphs:
+        ours = {"m": h1_manifold(g), "hatm": h1_quasi_manifold(g)}
+        assert all(isinstance(h1, AbelianInvariants) for h1 in ours.values())
         for c in g.colors:
-            try:
-                valid.append(homology_h1(pi1_presentation(g, c, target="hatm")))
-            except HypothesisViolatedError:
-                continue
-        h1 = h1_quasi_manifold(g)
-        if not valid:
-            assert h1 is None
-            continue
-        covered += 1
-        assert all(h1 == other for other in valid)
-    assert covered >= 5
+            for target, h1 in ours.items():
+                try:
+                    oracle = homology_h1(pi1_presentation(g, c, target))
+                except HypothesisViolatedError:
+                    continue
+                covered[target] += 1
+                assert h1 == oracle, (g, c, target)
+    assert covered["m"] >= 200 and covered["hatm"] >= 150
+
+
+# an order-8 supercontracted five-color class where no color meets either
+# hypothesis of the paper's presentations
+ORDER8_NO_ORDINARY_COLOR = (
+    "4;8;1,0,3,2,5,4,7,6;1,0,3,2,5,4,7,6;2,4,0,6,1,7,3,5;2,5,0,7,6,1,4,3;3,5,6,0,7,1,2,4"
+)
+
+
+def test_h1_pinned_values():
+    assert str(h1_manifold(torus_disk())) == "Z+Z"
+    assert str(h1_manifold(rp3())) == str(h1_quasi_manifold(rp3())) == "Z/2"
+    g = parse_code_line(ORDER8_NO_ORDINARY_COLOR)
+    assert all(_color_singular(g, c) for c in g.colors)
+    assert str(h1_manifold(g)) == "Z+Z/2+Z/2"
+    assert str(h1_quasi_manifold(g)) == "0"
+
+
+def test_h1_manifold_matches_cycle_complex_oracle():
+    """The same values by an independent route: bicolored cycles walked
+    edge by edge, invariant factors by minor gcds."""
+    for g in (torus_disk(), rp3(), torus6(), parse_code_line(ORDER8_NO_ORDINARY_COLOR)):
+        h1 = h1_manifold(g)
+        assert cycle_complex_h1(g.matchings) == (h1.free_rank, h1.torsion)
+
+
+def _move_cases():
+    rng = random.Random(20261019)
+    bases = [k2(2), k2(4), torus6(), torus_interval(), torus_disk(), q4(),
+             order4_nonbipartite(0), order4_nonbipartite(1), rp3()]
+    bases += [random_graph(rng.choice((3, 4)), rng.choice((4, 6, 8)), rng) for _ in range(9)]
+    return bases
+
+
+_MOVE_CASES = _move_cases()
+
+
+def _h1_and_space(g):
+    return h1_manifold(g), h1_quasi_manifold(g), fingerprint(g).space_key()
+
+
+@settings(derandomize=True, database=None, max_examples=36, deadline=None)
+@given(data=st.data())
+def test_h1_and_space_key_invariant_under_moves(data):
+    """Relabeling, color permutation, proper dipole insertion and insertion
+    followed by simplification keep both H1s and the space key."""
+    g = data.draw(st.sampled_from(_MOVE_CASES))
+    before = _h1_and_space(g)
+    perm = data.draw(st.permutations(range(g.order)))
+    colors = data.draw(st.permutations(range(g.n + 1)))
+    seed = data.draw(st.integers(0, 2**16))
+    grown = inflate(g, data.draw(st.integers(1, 3)), random.Random(seed))
+    for moved in (g.relabel(perm), g.permute_colors(colors), grown, simplify(grown).graph):
+        assert _h1_and_space(moved) == before
 
 
 def test_pi1_cgroup_untested():
