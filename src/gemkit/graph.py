@@ -237,17 +237,19 @@ def _components(rows: Sequence, order: int) -> list:
     return [sorted(_component(rows, v, seen)) for v in range(order) if not seen[v]]
 
 
-def _two_color(matchings: Matchings) -> Optional[list]:
-    order = len(matchings[0])
-    side: list = [None] * order
-    for root in range(order):
+def _two_color(rows: Sequence, roots: Optional[Sequence] = None) -> Optional[list]:
+    """Sides 0/1 of a 2-coloring along the given rows, None if there is
+    none; only the components of `roots` (default: every vertex) are
+    colored, the other entries stay None."""
+    side: list = [None] * len(rows[0])
+    for root in range(len(rows[0])) if roots is None else roots:
         if side[root] is not None:
             continue
         side[root] = 0
         stack = [root]
         while stack:
             v = stack.pop()
-            for row in matchings:
+            for row in rows:
                 w = row[v]
                 if side[w] is None:
                     side[w] = 1 - side[v]

@@ -7,6 +7,8 @@ classification, first homology) certify NotSphere, a greedy proper-dipole
 reduction to the order-two graph certifies Sphere, and everything else stays
 Unknown rather than guessed.  Operations that need every residue classified
 refuse with UnresolvedResidueError instead of reporting on partial data.
+Residues are classified bottom-up on the graph's own lattice; only those
+that pass every cheap test are rebuilt as graphs for a reduction and H1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, _component
+from .graph import ColoredGraph, _component, _two_color
 from .groups import AbelianInvariants, h1_from_rows
 from .moves import cancel_site, dipole_sites
 from .residues import (
@@ -25,6 +27,7 @@ from .residues import (
     ResidueView,
     colors_of,
     complement,
+    full_mask,
     mask_of,
 )
 
@@ -62,10 +65,12 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     """Decide whether the cone space of g is a sphere of dimension n.
 
     Verdicts carry a checkable certificate about g itself.  Above dimension
-    two, NotSphere rests on orientability, the Euler count, a residue's own
-    verdict or the cone space's H1, which every graph has; Sphere on a
-    reduction to the order-2 graph; Unknown remains otherwise.  `step_limit`
-    caps the cancellations of this reduction and of every nested one.
+    two, NotSphere rests on orientability, the Euler count, a singular
+    residue of g or the cone space's H1, which every graph has; Sphere on a
+    reduction to the order-2 graph; Unknown remains otherwise.  Residue
+    classes come from `g.classification`, or from `classify_graph(g,
+    step_limit)` under a budget.  `step_limit` caps the cancellations of
+    this reduction and of every nested one.
     """
     n = g.n
     if g.order == 2:
@@ -91,16 +96,14 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     if chi != target:
         return SphereStatus(Verdict.NOT_SPHERE, f"chi={chi}, a {n}-sphere needs {target}")
 
-    # classify every residue on 3..n colors; a singular one kills sphereness
-    unknown_present = False
-    for rv in g.lattice.all_residues(min_h=3):
-        sub = sphere_status(rv.as_graph(), step_limit)
-        if sub.verdict is Verdict.NOT_SPHERE:
-            return SphereStatus(
-                Verdict.NOT_SPHERE,
-                f"singular {rv.colors} residue at vertex {rv.vertices[0]}: {sub.certificate}",
-            )
-        unknown_present |= sub.verdict is Verdict.UNKNOWN
+    # a singular residue on 3..n colors kills sphereness
+    cls = g.classification if step_limit is None else classify_graph(g, step_limit)
+    singular = cls.singular_views()
+    if singular:
+        rv = singular[0]
+        return SphereStatus(
+            Verdict.NOT_SPHERE, f"singular {rv.colors} residue at vertex {rv.vertices[0]}"
+        )
 
     # H1 is read only when the reduction stalls: reaching order two proves it trivial
     steps = _reduce_to_point(g, step_limit)
@@ -110,7 +113,7 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     if not h1.trivial:
         return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
     reason = "reduction stalled"
-    if unknown_present:
+    if cls.unresolved:
         reason += " with unclassified residues"
     return SphereStatus(Verdict.UNKNOWN, reason)
 
@@ -164,17 +167,19 @@ def _component_view(g: ColoredGraph, mask: int, v: int) -> ResidueView:
 # ============================================================
 
 
+_CLASS_OF = {
+    Verdict.SPHERE: ResidueClass.ORDINARY,
+    Verdict.NOT_SPHERE: ResidueClass.SINGULAR,
+    Verdict.UNKNOWN: ResidueClass.UNKNOWN,
+}
+
+
 def classify_residue(rv: ResidueView) -> ResidueClass:
     """Ordinary, singular, or unknown; residues on at most two colors are
     ordinary unconditionally."""
     if rv.h <= 2:
         return ResidueClass.ORDINARY
-    verdict = sphere_status(rv.as_graph()).verdict
-    if verdict is Verdict.SPHERE:
-        return ResidueClass.ORDINARY
-    if verdict is Verdict.NOT_SPHERE:
-        return ResidueClass.SINGULAR
-    return ResidueClass.UNKNOWN
+    return _CLASS_OF[sphere_status(rv.as_graph()).verdict]
 
 
 def _all_ordinary(classes) -> Optional[bool]:
@@ -229,11 +234,50 @@ class Classification:
         return out
 
 
-def classify_graph(g: ColoredGraph) -> Classification:
-    """Classify every residue of g on at least three colors; `g.classification`
-    keeps the result on the graph."""
+def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classification:
+    """Classify every residue of g on at least three colors, rank by rank,
+    from g's own lattice; `g.classification` keeps the result without a
+    `step_limit`.
+
+    An h-residue of order two is ordinary.  Otherwise it is singular if its
+    Euler count (the alternating count of the residues inside it) is not the
+    (h-1)-sphere's, if a residue inside it is singular, or if it is not
+    bipartite.  A 3-residue that passes these tests is a sphere, the closed
+    orientable surface of Euler characteristic 2.  Only a larger one is
+    rebuilt as a graph, and takes the verdict of `sphere_status`, whose
+    reductions obey `step_limit`.
+    """
     lattice = g.lattice
-    classes = {rv.key: classify_residue(rv) for rv in lattice.all_residues(min_h=3)}
+    classes: dict = {}
+    # by rank, so that every residue inside one is classified before it
+    for mask in sorted(range(full_mask(g.n)), key=lambda m: bin(m).count("1")):
+        h = bin(mask).count("1")
+        if h < 3:
+            continue
+        views = lattice.residues(mask)
+        key_at = {v: rv.key for rv in views for v in rv.vertices}
+        # ranks 0 and 1 in closed form: size vertices, h*size/2 edges
+        chi = {rv.key: (-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views}
+        bad = set()
+        sub = mask
+        while sub := (sub - 1) & mask:  # every proper nonempty color subset
+            k = bin(sub).count("1")
+            if k >= 2:
+                for rv in lattice.residues(sub):
+                    key = key_at[rv.vertices[0]]
+                    chi[key] += (-1) ** (h - 1 - k)
+                    if k >= 3 and classes[rv.key] is ResidueClass.SINGULAR:
+                        bad.add(key)
+        rows = [g.matchings[c] for c in colors_of(mask)]
+        for rv in views:
+            if rv.size == 2:
+                classes[rv.key] = ResidueClass.ORDINARY
+            elif chi[rv.key] != 2 * (h % 2) or rv.key in bad or _two_color(rows, rv.vertices[:1]) is None:
+                classes[rv.key] = ResidueClass.SINGULAR
+            elif h == 3:
+                classes[rv.key] = ResidueClass.ORDINARY
+            else:
+                classes[rv.key] = _CLASS_OF[sphere_status(rv.as_graph(), step_limit).verdict]
     return Classification(lattice, classes)
 
 

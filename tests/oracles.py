@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
-union-find, canonical tables by exhaustive minimization without pruning.
+union-find, canonical tables by exhaustive minimization without pruning,
+residue classes from each residue's own subgraph.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -216,6 +217,60 @@ def canonical_table(rows, color_permuting=False):
         for perm in itertools.permutations(range(k))
         if all(sig[perm[i]] <= sig[perm[i + 1]] for i in range(k - 1))
     )
+
+
+# ============================================================
+# Residue classes, each residue tested on its own subgraph
+# ============================================================
+
+
+def residue_classes(g):
+    """Class name ("ordinary", "singular" or "unknown") of every residue of g
+    on three or more colors, keyed (color mask, minimum vertex).  Each
+    residue is cut out as its own table and tested there: order two, a
+    2-coloring, the Euler count over every proper color subset of the
+    table, and the same test, recursively, on the table's own residues.
+    Only what passes all of them is handed to `sphere_status`, for the
+    dipole reduction and H1."""
+    out = {}
+    for k in range(3, g.n + 1):
+        for cols in itertools.combinations(g.colors, k):
+            mask = sum(1 << c for c in cols)
+            for comp in table_components([g.matchings[c] for c in cols], g.order):
+                out[mask, comp[0]] = _table_class(_sub_table(g.matchings, cols, comp))
+    return out
+
+
+def _sub_table(rows, cols, comp):
+    index = {v: i for i, v in enumerate(comp)}
+    return tuple(tuple(index[rows[c][v]] for v in comp) for c in cols)
+
+
+def _table_class(rows):
+    from gemkit import ColoredGraph, Verdict, sphere_status
+
+    h, order = len(rows), len(rows[0])
+    if order == 2:
+        return "ordinary"
+    g = ColoredGraph(rows)
+    if two_coloring(g) is None:
+        return "singular"
+    chi = sum(
+        (-1) ** (h - 1 - k) * len(table_components([rows[c] for c in sub], order))
+        for k in range(h)
+        for sub in itertools.combinations(range(h), k)
+    )
+    if chi != (2 if h % 2 else 0):
+        return "singular"
+    for k in range(3, h):
+        for sub in itertools.combinations(range(h), k):
+            for comp in table_components([rows[c] for c in sub], order):
+                if _table_class(_sub_table(rows, sub, comp)) == "singular":
+                    return "singular"
+    if h == 3:
+        return "ordinary"
+    verdict = sphere_status(g).verdict
+    return {Verdict.SPHERE: "ordinary", Verdict.NOT_SPHERE: "singular"}.get(verdict, "unknown")
 
 
 def simplify_by_reclassification(g):

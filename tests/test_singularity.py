@@ -8,9 +8,15 @@ import random
 import re
 import weakref
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gemkit import (
     ColoredGraph,
     ResidueClass,
+    ResidueView,
+    UnresolvedResidueError,
     Verdict,
     boundary_structure,
     classify_graph,
@@ -38,6 +44,7 @@ from gemkit.library import (
     torus_disk,
     torus_interval,
 )
+from oracles import residue_classes, two_coloring
 
 
 # ============================================================
@@ -154,6 +161,91 @@ def test_analysis_holds_no_reference_to_its_graph():
     finally:
         if enabled:
             gc.enable()
+
+
+def _oracle_cases():
+    rng = random.Random(20261018)
+    graphs = list(enumerate_census(CensusParams(n=4, order=6)).graphs())
+    graphs += list(enumerate_census(CensusParams(n=5, order=4)).graphs())
+    graphs += [rp3(), torus_disk(), order4_nonbipartite(1)]
+    graphs += [random_graph(rng.choice((3, 4, 5)), rng.choice((4, 6, 8, 10, 12)), rng)
+               for _ in range(40)]
+    return graphs
+
+
+def test_classes_match_per_residue_oracle():
+    """The lattice's bottom-up classes equal those found by testing each
+    residue on its own subgraph."""
+    for g in _oracle_cases():
+        classes = {key: cls.value for key, cls in g.classification.classes.items()}
+        assert classes == residue_classes(g)
+
+
+# the one closed non-orientable manifold of the four-colored order-8 census
+NONORIENTABLE_8 = "3;8;1,0,4,6,2,7,3,5;2,4,0,7,1,6,5,3;2,5,0,6,7,1,3,4;3,4,6,0,1,7,2,5"
+
+
+def test_classification_rebuilds_only_bipartite_residues_on_four_colors(monkeypatch):
+    """Order, Euler count, bipartiteness and the classes inside decide every
+    3-residue and every non-bipartite one; no subgraph is built for them."""
+    built = []
+    as_graph = ResidueView.as_graph
+
+    def spy(rv):
+        sub = as_graph(rv)
+        built.append((rv.h, two_coloring(sub) is not None))
+        return sub
+
+    monkeypatch.setattr(ResidueView, "as_graph", spy)
+    # its 4-residue off the suspended color is S1 x~ S2: non-bipartite, chi 0, no singular residue
+    nonorientable = suspend(parse_code_line(NONORIENTABLE_8), 0)
+    for g in list(enumerate_census(CensusParams(n=4, order=6)).graphs()) + [rp3(), nonorientable]:
+        classify_graph(g)
+    assert built
+    assert all(h >= 4 and bipartite for h, bipartite in built)
+
+
+def test_step_budget_leaves_residues_unknown():
+    """With no reduction step allowed, residues only a reduction certifies
+    stay unknown, and whatever needs every class refuses."""
+    for k, seed in ((0, 1), (2, 1), (3, 2)):
+        g = inflate(q4(), k, random.Random(seed))
+        cls = classify_graph(g, step_limit=0)
+        assert ResidueClass.UNKNOWN in cls.classes.values()
+        with pytest.raises(UnresolvedResidueError):
+            cls.require_resolved("a budgeted classification")
+        assert not g.classification.unresolved
+
+
+def _invariance_cases():
+    rng = random.Random(20261020)
+    bases = [k2(4), torus_interval(), torus_disk(), q4(),
+             order4_nonbipartite(0), order4_nonbipartite(1), rp3()]
+    bases += [random_graph(rng.choice((3, 4, 5)), rng.choice((4, 6, 8, 10)), rng)
+              for _ in range(9)]
+    return bases
+
+
+_INVARIANCE_CASES = _invariance_cases()
+
+
+@settings(derandomize=True, database=None, max_examples=36, deadline=None)
+@given(data=st.data())
+def test_classes_invariant_under_relabeling(data):
+    """The Delta-residue through v keeps its class as the residue through
+    perm[v] after relabeling, and as the residue on the permuted colors
+    through v after a color permutation."""
+    g = data.draw(st.sampled_from(_INVARIANCE_CASES))
+    perm = data.draw(st.permutations(range(g.order)))
+    colors = data.draw(st.permutations(range(g.n + 1)))
+    relabeled = g.relabel(perm).classification
+    recolored = g.permute_colors(colors).classification
+    new_color = {old: new for new, old in enumerate(colors)}
+    cls = g.classification
+    for rv in cls.lattice.all_residues(min_h=3):
+        v = rv.vertices[0]
+        assert relabeled.of_containing(rv.colors, perm[v]) is cls.of(rv)
+        assert recolored.of_containing([new_color[c] for c in rv.colors], v) is cls.of(rv)
 
 
 # ============================================================
