@@ -7,12 +7,13 @@ order eps, comes from the count identity
 ``2 - 2*rho = sum_j g(eps_j, eps_j+1) + (1-n)p``; summing rho over the n!/2
 cyclic orders (up to inversion) gives the G-degree.  In dimension four the
 report also carries the reduced degree, the subdegree, and the identities
-tying them to bigon counts.
+tying them to bigon counts, every genus read off the graph's own bigons.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from .groups import (
     c_group_presentation,
     quotient_presentation,
 )
-from .residues import complement
+from .residues import ResidueLattice, ResidueView, complement
 from .singularity import (
     Classification,
     ResidueClass,
@@ -121,9 +122,28 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> Fraction:
         raise ColorRangeError(f"{eps} is not a cyclic order of colors 0..{g.n}")
     if g.n < 2:
         raise ValueError("the regular genus needs at least three colors")
-    k = len(eps)
-    s = sum(g.lattice.count((eps[j], eps[(j + 1) % k])) for j in range(k))
-    return Fraction(2 - s - (1 - g.n) * g.p, 2)
+    return _genus(_bigons(g.lattice, g.colors), eps, g.order)
+
+
+def _bigons(lattice: ResidueLattice, colors: Sequence[int]) -> dict[int, int]:
+    """The bigon table: pair mask -> number of bicolored cycles on that pair."""
+    return {1 << a | 1 << b: lattice.count((a, b)) for a, b in itertools.combinations(colors, 2)}
+
+
+def _genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> Fraction:
+    """Regular genus for the cyclic order eps of a graph or residue on `order` vertices."""
+    s = sum(bigons[1 << eps[j - 1] | 1 << eps[j]] for j in range(len(eps)))
+    return Fraction(2 - s + (len(eps) - 2) * order // 2, 2)
+
+
+def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, Counter]]:
+    """The residues missing color c, each with the bigons whose first vertex it holds."""
+    tables = [(rv, Counter()) for rv in lattice.residues(complement(1 << c, lattice.n))]
+    at = {v: table for rv, table in tables for v in rv.vertices}
+    for a, b in itertools.combinations([d for d in range(lattice.n + 1) if d != c], 2):
+        for rv in lattice.residues(1 << a | 1 << b):
+            at[rv.vertices[0]][rv.mask] += 1
+    return tables
 
 
 @dataclass(frozen=True)
@@ -155,17 +175,19 @@ class GDegreeReport:
 
 def g_degree(g: ColoredGraph) -> GDegreeReport:
     """Regular genera over all cyclic color orders and their sum, plus the
-    dimension-four identities when they apply."""
+    dimension-four identities when they apply.  The subdegree's genera come
+    from the graph's own bigons grouped by residue (`_residue_bigons`)."""
     if g.n < 2:
         raise ValueError("the G-degree needs at least three colors")
-    genera = {eps: regular_genus(g, eps) for eps in cyclic_orders(tuple(g.colors))}
+    cycles = _bigons(g.lattice, g.colors)
+    genera = {eps: _genus(cycles, eps, g.order) for eps in cyclic_orders(g.colors)}
     omega = sum(genera.values(), Fraction(0))
     if g.n != 4:
         return GDegreeReport(g.n, g.p, genera, omega)
 
     p = g.p
     lattice = g.lattice
-    bigons = sum(lattice.count((i, j)) for i in range(5) for j in range(i + 1, 5))
+    bigons = sum(cycles.values())
     top = sum(lattice.count(complement(1 << c, 4)) for c in range(5))
     rho = top + 5 * p - bigons
     omega_int = int(omega) if omega.denominator == 1 else None
@@ -176,19 +198,15 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
     sub_total = Fraction(0)
     pair_ok: dict[int, bool] = {}
     for c in range(5):
-        parts = lattice.residues(complement(1 << c, 4))
+        parts = _residue_bigons(lattice, c)
         # per-color relation with the fixed cyclic order on the leftover colors
         order = PAIR_RELATION_ORDERS[c]
         rho_c = Fraction(0)
-        for rv in parts:
-            sub = rv.as_graph()
-            sub_total += sum(
-                regular_genus(sub, eps) for eps in cyclic_orders(tuple(sub.colors))
-            )
-            local = tuple(rv.colors.index(col) for col in order)
-            rho_c += regular_genus(sub, local)
+        for rv, table in parts:
+            sub_total += sum(_genus(table, eps, rv.size) for eps in cyclic_orders(order))
+            rho_c += _genus(table, order, rv.size)
         lhs = 2 * len(parts) - 2 * rho_c
-        rhs = sum(lattice.count((order[i], order[(i + 1) % 4])) for i in range(4)) - 2 * p
+        rhs = sum(cycles[1 << order[i - 1] | 1 << order[i]] for i in range(4)) - 2 * p
         pair_ok[c] = lhs == rhs
     subdegree_ok = sub_total == 3 * rho
 

@@ -146,12 +146,14 @@ class ResidueLattice:
         self.n = g.n
         self.order = g.order
         self._matchings = g.matchings
+        self._full = full_mask(g.n)
         self._views: dict[int, tuple[ResidueView, ...]] = {}
         self._index: dict[int, dict[int, int]] = {}  # mask -> vertex -> position in views
 
     def _mask(self, colors) -> int:
-        mask = _as_mask(colors, self.n)
-        if mask == full_mask(self.n):
+        mask = colors if isinstance(colors, int) else mask_of(colors)
+        if not 0 <= mask < self._full:  # a color outside 0..n, or every color
+            _as_mask(mask, self.n)  # raises ColorRangeError outside 0..n
             raise ValueError(
                 f"color set {colors_of(mask)}: the whole graph is not a residue of itself")
         return mask
@@ -181,7 +183,7 @@ class ResidueLattice:
 
     def all_residues(self, min_h: int = 0, max_h: Optional[int] = None) -> Iterator[ResidueView]:
         hi = self.n if max_h is None else max_h
-        for mask in range(full_mask(self.n)):
+        for mask in range(self._full):
             if min_h <= bin(mask).count("1") <= hi:
                 yield from self._read(mask)
 
@@ -190,12 +192,12 @@ class ResidueLattice:
 
     def counts_table(self) -> dict[tuple[int, ...], int]:
         """g_Delta for every color subset, keyed by the sorted color tuple."""
-        return {colors_of(mask): self.count(mask) for mask in range(full_mask(self.n))}
+        return {colors_of(mask): self.count(mask) for mask in range(self._full)}
 
     def rank_counts(self) -> dict[int, int]:
         """Total number of h-residues for each h."""
         out: dict[int, int] = {}
-        for mask in range(full_mask(self.n)):
+        for mask in range(self._full):
             h = bin(mask).count("1")
             out[h] = out.get(h, 0) + self.count(mask)
         return out
@@ -214,7 +216,7 @@ class ResidueLattice:
         out = []
         for c in range(self.n + 1):
             bit = 1 << c
-            if rv.mask & bit or (rv.mask | bit) == full_mask(self.n):
+            if rv.mask & bit or (rv.mask | bit) == self._full:
                 continue
             out.append(self.residue_containing(rv.mask | bit, rv.vertices[0]))
         return out

@@ -3,7 +3,7 @@
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, canonical tables by exhaustive minimization without pruning,
-residue classes from each residue's own subgraph.
+residue classes and bigon tables from each residue's own subgraph.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -153,6 +153,21 @@ def cycle_complex_h1(rows):
     width = len(edges) - len(tree) - (len(relators) - len(mat))
     factors = minor_gcd_invariant_factors(mat, width)
     return width - len(factors), tuple(d for d in factors if d > 1)
+
+
+def residue_bigon_tables(g, c):
+    """Bigon table (pair mask -> bicolored cycles) of every residue of g
+    missing color c, keyed by its minimum vertex: each residue cut out as its
+    own table and its cycles walked there."""
+    cols = [d for d in g.colors if d != c]
+    out = {}
+    for comp in table_components([g.matchings[d] for d in cols], g.order):
+        sub = _sub_table(g.matchings, cols, comp)
+        out[comp[0]] = {
+            1 << cols[i] | 1 << cols[j]: bicolored_cycles(sub, i, j)
+            for i, j in itertools.combinations(range(len(cols)), 2)
+        }
+    return out
 
 
 def bigon_count(g):

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from gemkit import (
     AbelianInvariants,
+    ColoredGraph,
     ColorRangeError,
     HypothesisViolatedError,
     OutOfTableRangeError,
     ResidueClass,
+    ResidueLattice,
+    ResidueView,
     classify_small,
     cyclic_orders,
     fingerprint,
@@ -27,7 +30,8 @@ from gemkit import (
     regular_genus,
     simplify,
 )
-from gemkit.census import random_graph
+from gemkit.census import CensusParams, enumerate_census, random_graph
+from gemkit.invariants import _residue_bigons
 from gemkit.residues import complement
 from gemkit.library import (
     k2,
@@ -38,7 +42,13 @@ from gemkit.library import (
     torus_disk,
     torus_interval,
 )
-from oracles import bicolored_cycles, bigon_count, cycle_complex_h1, union_find_components
+from oracles import (
+    bicolored_cycles,
+    bigon_count,
+    cycle_complex_h1,
+    residue_bigon_tables,
+    union_find_components,
+)
 
 
 # ============================================================
@@ -142,6 +152,93 @@ def test_supercontracted_degree_lower_bound(rng):
         cat = enumerate_census(CensusParams(n=4, order=order, supercontracted=True))
         for g in cat.graphs():
             assert g_degree(g).omega_reduced >= g.p - 1
+
+
+def _subdegree_cases():
+    """The n=4 order-6 census, five fixtures, and seeded inflated graphs,
+    most of which split some residue missing one color."""
+    rng = random.Random(20261020)
+    graphs = list(enumerate_census(CensusParams(n=4, order=6)).graphs())
+    graphs += [q4(), rp3(), torus_disk(), order4_nonbipartite(0), order4_nonbipartite(1)]
+    graphs += [
+        inflate(random_graph(4, rng.choice((2, 4, 6, 8)), rng), rng.choice((1, 2, 3)), rng)
+        for _ in range(36)
+    ]
+    return graphs
+
+
+_SUBDEGREE_CASES = _subdegree_cases()
+
+
+def test_residue_bigons_match_cut_out_residues():
+    """The bigon table the subdegree reads for each residue missing a color
+    equals that residue cut out as its own table, its cycles walked there."""
+    split = [
+        g for g in _SUBDEGREE_CASES
+        if any(g.lattice.count(complement(1 << c, g.n)) > 1 for c in g.colors)
+    ]
+    assert len(split) >= 20  # with one residue per color the grouping is trivial
+    for g in _SUBDEGREE_CASES:
+        for c in g.colors:
+            ours = {rv.vertices[0]: t for rv, t in _residue_bigons(g.lattice, c)}
+            assert ours == residue_bigon_tables(g, c), (g, c)
+
+
+def test_g_degree_rebuilds_nothing(monkeypatch):
+    """Once the lattice is warm, the G-degree builds no residue graph, no
+    graph and no lattice."""
+    for g in _SUBDEGREE_CASES:
+        g.classification
+    calls = {}
+    for cls, name in ((ResidueView, "as_graph"), (ColoredGraph, "__init__"), (ResidueLattice, "__init__")):
+        key = f"{cls.__name__}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _fn=getattr(cls, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    for g in _SUBDEGREE_CASES:
+        g_degree(g)
+    assert calls == dict.fromkeys(calls, 0)
+    q4().lattice.residues(0b111)[0].as_graph().lattice  # each counter counts
+    assert all(calls.values()), calls
+
+
+def _cyclic_representative(eps):
+    """eps rotated to start at its least color and, of its two directions,
+    the one `cyclic_orders` lists."""
+    i = eps.index(min(eps))
+    eps = eps[i:] + eps[:i]
+    return eps if eps[1] < eps[-1] else eps[:1] + eps[:0:-1]
+
+
+def _degree_cases():
+    rng = random.Random(20261021)
+    graphs = [k2(2), torus6(), rp3(), q4(), torus_disk(), order4_nonbipartite(1), k2(5)]
+    graphs += [random_graph(n, rng.choice((4, 6, 8)), rng) for n in (2, 3, 4, 5) for _ in range(3)]
+    return graphs
+
+
+_DEGREE_CASES = _degree_cases()
+
+
+@settings(derandomize=True, database=None, max_examples=36, deadline=None)
+@given(data=st.data())
+def test_g_degree_invariant_under_relabel_and_color_permutation(data):
+    """Relabeling keeps the whole report.  A color permutation keeps the
+    degrees, rho and the checks, and moves each genus to the permuted order."""
+    g = data.draw(st.sampled_from(_DEGREE_CASES))
+    report = g_degree(g)
+    assert g_degree(g.relabel(data.draw(st.permutations(range(g.order))))) == report
+    colors = data.draw(st.permutations(range(g.n + 1)))
+    moved = g_degree(g.permute_colors(colors))
+    assert (moved.omega, moved.omega_reduced, moved.rho, moved.checks) == (
+        report.omega, report.omega_reduced, report.rho, report.checks)
+    new = {old: c for c, old in enumerate(colors)}  # permute_colors: new c is old colors[c]
+    for eps, genus in report.genera.items():
+        assert moved.genera[_cyclic_representative(tuple(new[c] for c in eps))] == genus
 
 
 # ============================================================

@@ -117,8 +117,9 @@ def test_lattice_refuses_the_full_color_set():
         for cols in ((0, 1, 2, 3), 15):
             with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\).*not a residue of itself"):
                 read(cols)
-    with pytest.raises(ColorRangeError):
-        lattice.count(16)
+    for cols in (16, (0, 4)):
+        with pytest.raises(ColorRangeError, match=r"outside 0\.\.3"):
+            lattice.count(cols)
 
 
 def test_lazy_lattice_equals_eager_reference():
