@@ -9,6 +9,18 @@ Extending by every involution commutes with recoloring the colors already
 placed, and every filter on completed graphs is invariant under color
 permutation, so under either equivalence the last level already is the
 catalogue: one canonical table per class.
+
+A frontier table is not extended by every involution, only by one per orbit
+of its automorphism group (McKay's isomorph rejection).  An automorphism s
+of the table T maps T + e onto T + s e s^-1 vertex by vertex, so the two
+extensions are isomorphic under either equivalence: they have the same
+canonical table and pass or fail the same filters, which are all
+isomorphism-invariant.  The set of canonical tables a level collects is
+therefore the one that extending by every involution collects, and the
+catalogue is unchanged byte for byte; only the labelings of extensions
+known to repeat a class are skipped.  Under color-preserving equivalence
+the orbits of a table are exactly its classes of extensions, so each class
+is labeled once per level.
 """
 
 from __future__ import annotations
@@ -22,6 +34,9 @@ from .graph import (
     ColoredGraph,
     Equivalence,
     _component,
+    _component_table,
+    _components,
+    _min_rooted_table,
     _two_color,
     canonical_matchings,
     format_code_line,
@@ -119,6 +134,73 @@ def _standard_matching(order: int) -> tuple[int, ...]:
     return tuple(v + 1 if v % 2 == 0 else v - 1 for v in range(order))
 
 
+def _automorphism_generators(table) -> list:
+    """Vertex permutations generating the color-preserving automorphism group
+    of a matching table, connected or not.
+
+    Per component, every start whose rooted table is the component's least
+    gives an automorphism of the component (its discovery order matched to
+    the first such start's), and each component isomorphic to an earlier one
+    gives the swap of the two; together these generate the whole group.
+    """
+    order = len(table[0])
+    gens = []
+    last: dict = {}  # least rooted table -> discovery order of its latest component
+    for comp in _components(table, order):
+        ties: list = []
+        least = _min_rooted_table(_component_table(table, comp), ties=ties)
+        first, *others = [[comp[i] for i in found] for found in ties]
+        # an automorphism of a connected table is fixed by the image of one
+        # vertex; one whose image of first[0] is reached already is generated
+        local: list = []
+        reached = [first[0]]
+        for other in others:
+            if other[0] in reached:
+                continue
+            perm = list(range(order))
+            for v, w in zip(first, other):
+                perm[v] = w
+            local.append(perm)
+            for v in reached:  # grows while iterating: the orbit of first[0]
+                for g in local:
+                    if g[v] not in reached:
+                        reached.append(g[v])
+        gens.extend(local)
+        twin = last.get(least)
+        if twin is not None:
+            perm = list(range(order))
+            for v, w in zip(first, twin):
+                perm[v], perm[w] = w, v
+            gens.append(perm)
+        last[least] = first
+    return gens
+
+
+def _orbit_roots(table, involutions, index: dict) -> list:
+    """For each involution, the least index in its orbit under the
+    automorphisms of `table` acting by conjugation, e -> s e s^-1;
+    `index` maps each involution to its position."""
+    root = list(range(len(involutions)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for perm in _automorphism_generators(table):
+        inverse = [0] * len(perm)
+        for v, w in enumerate(perm):
+            inverse[w] = v
+        for i, e in enumerate(involutions):
+            j = index[tuple([perm[e[u]] for u in inverse])]
+            if j != i:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(involutions))]
+
+
 def _connected(matchings, order: int) -> bool:
     return len(_component(matchings, 0, [False] * order)) == order
 
@@ -149,13 +231,17 @@ def enumerate_census(params: CensusParams) -> Catalogue:
     order = params.order
     permuting = params.equivalence is Equivalence.COLOR_PERMUTING
     involutions = _fpf_involutions(order)
+    index = {e: i for i, e in enumerate(involutions)}
 
     frontier: list = [(_standard_matching(order),)]
     for level in range(1, params.n + 1):
         finishing = level == params.n
         seen: set = set()
         for partial in frontier:
-            for extra in involutions:
+            roots = _orbit_roots(partial, involutions, index)
+            for i, extra in enumerate(involutions):
+                if roots[i] != i:  # an automorphism of partial maps it to a kept one
+                    continue
                 cand = partial + (extra,)
                 # cheap isomorphism-invariant filters before canonicalizing
                 if finishing and not _keep_completed(cand, order, params):

@@ -259,9 +259,16 @@ def _two_color(rows: Sequence, roots: Optional[Sequence] = None) -> Optional[lis
     return side
 
 
-def _min_rooted_table(matchings: Matchings, best: Optional[Matchings] = None) -> Matchings:
+def _min_rooted_table(
+    matchings: Matchings, best: Optional[Matchings] = None, ties: Optional[list] = None
+) -> Matchings:
     """Least table relabeled by color-ordered BFS discovery, over every start
-    vertex of the connected input, or `best` when no start beats it."""
+    vertex of the connected input, or `best` when no start beats it.
+
+    A list given as `ties` ends up holding the discovery order of every start
+    whose table is the returned one.  Two such orders, matched position by
+    position, map the input onto itself color by color: an automorphism.
+    """
     order = len(matchings[0])
     first = matchings[0]
     for start in range(order):
@@ -289,17 +296,23 @@ def _min_rooted_table(matchings: Matchings, best: Optional[Matchings] = None) ->
             )
             if below or table < best:
                 best = table
+                if ties is not None:
+                    ties[:] = [discovery]
+            elif ties is not None and table == best:
+                ties.append(discovery)
     return best
+
+
+def _component_table(matchings: Matchings, comp: Sequence[int]) -> Matchings:
+    """The rows restricted to the component `comp`, its i-th vertex as i."""
+    index = {v: i for i, v in enumerate(comp)}
+    return tuple(tuple(index[row[v]] for v in comp) for row in matchings)
 
 
 def _canon_split(matchings: Matchings, comps: list) -> Matchings:
     """Canonicalize each component on its own, sort by (size, table), and
     re-stack the parts block by block."""
-    parts = []
-    for comp in comps:
-        index = {v: i for i, v in enumerate(comp)}
-        sub = tuple(tuple(index[row[v]] for v in comp) for row in matchings)
-        parts.append(_min_rooted_table(sub))
+    parts = [_min_rooted_table(_component_table(matchings, comp)) for comp in comps]
     parts.sort(key=lambda t: (len(t[0]), t))
     stacked = []
     for c in range(len(matchings)):
@@ -320,9 +333,12 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
     sorted, and re-stacked block by block.
     """
     if color_permuting:
-        tables = [
-            tuple(matchings[c] for c in perm) for perm in _admissible_color_orders(matchings)
-        ]
+        # colors with equal rows make many orders give one table: label it once
+        tables = list(
+            dict.fromkeys(
+                tuple(matchings[c] for c in perm) for perm in _admissible_color_orders(matchings)
+            )
+        )
     else:
         tables = [matchings]
     comps = _components(matchings, len(matchings[0]))  # the same under every color order

@@ -24,11 +24,15 @@ ResidueKey = tuple  # (mask, minimum vertex)
 def mask_of(colors: Iterable[int]) -> int:
     mask = 0
     for c in colors:
+        if c < 0:
+            raise ColorRangeError(f"color {c} is negative")
         mask |= 1 << c
     return mask
 
 
 def colors_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:  # its sign bits never shift out
+        raise ColorRangeError(f"color mask {mask} is negative")
     out = []
     c = 0
     while mask:
@@ -49,7 +53,7 @@ def complement(mask: int, n: int) -> int:
 
 def _as_mask(colors, n: int) -> int:
     mask = colors if isinstance(colors, int) else mask_of(colors)
-    if mask & ~full_mask(n):
+    if mask & ~full_mask(n):  # a negative mask too, which colors_of refuses
         raise ColorRangeError(f"color set {colors_of(mask)} outside 0..{n}")
     return mask
 

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, canonical tables by exhaustive minimization without pruning,
-residue classes and bigon tables from each residue's own subgraph.
+automorphisms by trying every vertex permutation, residue classes and
+bigon tables from each residue's own subgraph.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -212,6 +213,17 @@ def _canonical_fixed_colors(rows):
             offset += len(part[c])
         stacked.append(tuple(row))
     return tuple(stacked)
+
+
+def automorphisms(rows):
+    """Every vertex permutation s with m(s(v)) = s(m(v)) for each row m and
+    vertex v, by trying all order! permutations: keep order <= 6."""
+    order = len(rows[0])
+    return [
+        s
+        for s in itertools.permutations(range(order))
+        if all(row[s[v]] == s[row[v]] for row in rows for v in range(order))
+    ]
 
 
 def canonical_table(rows, color_permuting=False):

@@ -1,5 +1,6 @@
 """Enumeration completeness, determinism, catalogue files, reports."""
 
+import collections
 import hashlib
 import itertools
 
@@ -20,6 +21,8 @@ from gemkit import (
 from gemkit.census import (
     Catalogue,
     CensusParams,
+    _fpf_involutions,
+    _orbit_roots,
     census_report,
     enumerate_census,
     format_catalogue,
@@ -27,7 +30,13 @@ from gemkit.census import (
     random_graph,
 )
 from gemkit.graph import canonical_matchings
-from oracles import canonical_table, table_components, two_coloring, union_find_components
+from oracles import (
+    automorphisms,
+    canonical_table,
+    table_components,
+    two_coloring,
+    union_find_components,
+)
 
 
 # ============================================================
@@ -89,6 +98,91 @@ def test_completeness_against_brute_force(equivalence):
         assert sorted(canonical_table(g.matchings, permuting) for g in got.graphs()) == sorted(
             expect
         ), (n, order, filters)
+
+
+def _extended_tables(monkeypatch, params):
+    """Every frontier table the census extends, in the order it does."""
+    import gemkit.census
+
+    tables = []
+    orbit_roots = gemkit.census._orbit_roots
+
+    def record(table, involutions, index):
+        tables.append(table)
+        return orbit_roots(table, involutions, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gemkit.census, "_orbit_roots", record)
+        enumerate_census(params)
+    return tables
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("equivalence", [Equivalence.COLOR_PRESERVING, Equivalence.COLOR_PERMUTING])
+def test_automorphism_orbits_against_brute_force(monkeypatch, n, equivalence):
+    """For every table an order-6 census extends, the involutions the
+    census keeps are the least of their orbits under the table's whole
+    automorphism group, found by trying every vertex permutation.  The
+    tables include disconnected ones with repeated isomorphic components,
+    whose swaps the generators must supply."""
+    involutions = _fpf_involutions(6)
+    index = {e: i for i, e in enumerate(involutions)}
+    repeated = 0
+    for table in _extended_tables(monkeypatch, CensusParams(n=n, order=6, equivalence=equivalence)):
+        auts = automorphisms(table)
+        expect = []
+        for e in involutions:
+            images = []
+            for s in auts:
+                row = [0] * 6
+                for v in range(6):
+                    row[s[v]] = s[e[v]]
+                images.append(index[tuple(row)])
+            expect.append(min(images))
+        assert _orbit_roots(table, involutions, index) == expect, table
+        parts = [
+            canonical_table([[comp.index(row[v]) for v in comp] for row in table])
+            for comp in table_components(table, 6)
+        ]
+        repeated += len(set(parts)) < len(parts)
+    assert repeated > 1
+
+
+def _labelings_per_level(monkeypatch, params):
+    """Number of canonical labelings the census makes, keyed by the number
+    of colors of the labeled tables."""
+    import gemkit.census
+
+    calls = collections.Counter()
+
+    def counted(table, color_permuting=False):
+        calls[len(table)] += 1
+        return canonical_matchings(table, color_permuting)
+
+    monkeypatch.setattr(gemkit.census, "canonical_matchings", counted)
+    enumerate_census(params)
+    return dict(calls)
+
+
+def test_labelings_one_per_class_when_preserving(monkeypatch):
+    """Under color-preserving equivalence the orbits of a frontier table
+    are its classes of extensions, so each level labels each of its classes
+    once: 5 and 86 frontier classes, then the 2589 catalogue entries."""
+    params = CensusParams(
+        n=3, order=8, supercontracted=True, equivalence=Equivalence.COLOR_PRESERVING
+    )
+    assert _labelings_per_level(monkeypatch, params) == {2: 5, 3: 86, 4: 2589}
+
+
+def test_labelings_pinned_when_permuting(monkeypatch):
+    """Color-permuting equivalence merges classes that the color-preserving
+    automorphisms do not, so the last level labels more tables than it
+    keeps (266); extending by every involution labeled 3651."""
+    assert _labelings_per_level(monkeypatch, CensusParams(n=3, order=8)) == {
+        2: 5,
+        3: 86,
+        4: 1310,
+    }
 
 
 def test_enumerate_deterministic():

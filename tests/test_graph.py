@@ -4,6 +4,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemkit import (
     ColoredGraph,
@@ -256,6 +258,53 @@ def test_canonical_matchings_equals_definition(fixtures_all, rng):
                 rows, color_permuting=permuting
             )
     assert sum(len(table_components(rows, len(rows[0]))) > 1 for rows in tables) >= 20
+
+
+def _involutions(order):
+    """Every fixed-point-free involution on 0..order-1."""
+    rows = []
+    for row in itertools.permutations(range(order)):
+        if all(row[v] != v and row[row[v]] == v for v in range(order)):
+            rows.append(row)
+    return rows
+
+
+_INVOLUTIONS = {order: _involutions(order) for order in (4, 6, 8)}
+
+
+@st.composite
+def _tables(draw):
+    """Matching tables on 4 to 8 vertices with 3 to 6 colors, connected or
+    not, each row drawn from two to four distinct involutions, so most
+    tables repeat a row: many color orders then give one table."""
+    order = draw(st.sampled_from([4, 6, 8]))
+    pool = draw(st.lists(st.sampled_from(_INVOLUTIONS[order]), min_size=2, max_size=4, unique=True))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(3, 6))))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(rows=_tables(), data=st.data())
+def test_canonical_matchings_invariant_and_exact(rows, data):
+    """Under either equivalence the labeling is the definition's table and
+    does not see a vertex relabeling; under color-permuting equivalence it
+    does not see a recoloring either."""
+    order = len(rows[0])
+    perm = data.draw(st.permutations(range(order)))
+    relabeled = []
+    for row in rows:
+        image = [0] * order
+        for v in range(order):
+            image[perm[v]] = perm[row[v]]
+        relabeled.append(tuple(image))
+    colors = data.draw(st.permutations(range(len(rows))))
+    recolored = tuple(relabeled[c] for c in colors)
+
+    preserving = canonical_matchings(rows)
+    assert preserving == canonical_table(rows)
+    assert canonical_matchings(tuple(relabeled)) == preserving
+    permuting = canonical_matchings(rows, color_permuting=True)
+    assert permuting == canonical_table(rows, color_permuting=True)
+    assert canonical_matchings(recolored, color_permuting=True) == permuting
 
 
 def test_color_positions_separate_only_when_preserving():

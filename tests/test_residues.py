@@ -19,7 +19,7 @@ from gemkit import (
 from gemkit.census import random_graph
 from gemkit.invariants import cyclic_orders
 from gemkit.library import k2, q4, rp3, torus6
-from gemkit.residues import colors_of, full_mask
+from gemkit.residues import colors_of, full_mask, mask_of
 from oracles import union_find_components
 
 
@@ -55,6 +55,27 @@ def test_residues_match_union_find(rng):
 def test_color_out_of_range(t6):
     with pytest.raises(ColorRangeError):
         residues(t6, (0, 7))
+
+
+def test_negative_mask_rejected(t6):
+    """A negative int is no color set: its sign bits never shift out, so
+    reading colors off it must stop with an error, not loop."""
+    with pytest.raises(ColorRangeError, match="negative"):
+        residues(t6, -1)
+    with pytest.raises(ColorRangeError, match="negative"):
+        colors_of(-3)
+
+
+def test_negative_mask_rejected_by_lattice(t6):
+    with pytest.raises(ColorRangeError, match="negative"):
+        t6.lattice.count(-2)
+
+
+def test_negative_color_rejected():
+    with pytest.raises(ColorRangeError, match="color -1 is negative"):
+        mask_of((0, -1))
+    with pytest.raises(ColorRangeError, match="color -1 is negative"):
+        residues(rp3(), (0, -1))
 
 
 def test_partition_property(fixtures_all):
