@@ -288,6 +288,7 @@ def random_graph(n: int, order: int, rng: random.Random) -> ColoredGraph:
 # ============================================================
 
 _HEADER_PREFIX = "# gemkit-census v1"
+_FILTER_TAGS = {"connected", "bipartite", "nonbipartite", "supercontracted", "no-ordinary-dipoles"}
 
 
 def format_catalogue(cat: Catalogue) -> str:
@@ -313,19 +314,19 @@ def parse_catalogue(text: str) -> Catalogue:
         raise GemSyntaxError("missing catalogue header")
     fields = _fields(lines[0][len(_HEADER_PREFIX) :])
     try:
+        tags = fields["filters"].split(",")
+        unknown = sorted(set(tags) - _FILTER_TAGS)
+        if unknown:
+            raise ValueError(f"unknown filter tags {unknown}")
+        if "bipartite" in tags and "nonbipartite" in tags:
+            raise ValueError("filters both bipartite and nonbipartite")
         params = CensusParams(
             n=int(fields["n"]),
             order=int(fields["order"]),
             equivalence=Equivalence(fields["eq"]),
-            bipartite=(
-                True
-                if "bipartite" in fields["filters"].split(",")
-                else False
-                if "nonbipartite" in fields["filters"].split(",")
-                else None
-            ),
-            supercontracted="supercontracted" in fields["filters"].split(","),
-            no_ordinary_dipoles="no-ordinary-dipoles" in fields["filters"].split(","),
+            bipartite=True if "bipartite" in tags else False if "nonbipartite" in tags else None,
+            supercontracted="supercontracted" in tags,
+            no_ordinary_dipoles="no-ordinary-dipoles" in tags,
         )
     except (KeyError, ValueError) as exc:
         raise GemSyntaxError(f"bad catalogue header: {exc}") from None
@@ -336,6 +337,12 @@ def parse_catalogue(text: str) -> Catalogue:
         stated = tuple(int(footer[k]) for k in ("count", "bipartite", "nonbipartite"))
     except (KeyError, ValueError) as exc:
         raise GemSyntaxError(f"bad catalogue footer: {exc}") from None
+    # the footer is checked against the entries below, so it can vouch for the parity filter
+    if params.bipartite is not None and stated[2 if params.bipartite else 1]:
+        raise GemSyntaxError(
+            f"catalogue header filters {params.filter_tags()} but its footer "
+            f"'{lines[-1]}' counts entries the filter excludes"
+        )
     entries = tuple(ln for ln in lines[1:-1] if not ln.startswith("#"))
     graphs = [parse_code_line(ln) for ln in entries]
     seen: set = set()
@@ -375,7 +382,6 @@ class CensusRow:
     singular_manifold: Optional[bool]
     omega_reduced: Optional[int]
     name: Optional[str]
-    identities_ok: bool
 
 
 @dataclass(frozen=True)
@@ -437,7 +443,6 @@ def census_report(cat: Catalogue) -> CensusReport:
     for line in cat.entries:
         g = parse_code_line(line)
         omega_reduced = None
-        identities_ok = True
         closed = is_closed_manifold(g)
         singular = is_singular_manifold(g)
         if g.n == 4:
@@ -450,19 +455,15 @@ def census_report(cat: Catalogue) -> CensusReport:
                 and checks.subdegree
                 and all(checks.pair_relation.values())
             ):
-                identities_ok = False
                 failures.append(f"{line}: G-degree identities")
             ranks = g.lattice.rank_counts()
             slack = 2 * ranks.get(3, 0) - 3 * ranks.get(2, 0) + 10 * g.p
             if slack < 0:
-                identities_ok = False
                 failures.append(f"{line}: bigon-count inequality")
             if singular is not None and (slack == 0) != singular:
-                identities_ok = False
                 failures.append(f"{line}: singular-manifold equality case")
             parity_applies = g.is_bipartite() is not None or singular is True
             if parity_applies and omega_reduced is not None and omega_reduced % 2:
-                identities_ok = False
                 failures.append(f"{line}: reduced degree parity")
             hist[omega_reduced] = hist.get(omega_reduced, 0) + 1
         name = None
@@ -483,7 +484,6 @@ def census_report(cat: Catalogue) -> CensusReport:
                 singular_manifold=singular,
                 omega_reduced=omega_reduced,
                 name=name,
-                identities_ok=identities_ok,
             )
         )
     return CensusReport(

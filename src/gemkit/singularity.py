@@ -64,39 +64,18 @@ def quasi_manifold_euler(g: ColoredGraph) -> int:
 def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereStatus:
     """Decide whether the cone space of g is a sphere of dimension n.
 
-    Verdicts carry a checkable certificate about g itself.  Above dimension
-    two, NotSphere rests on orientability, the Euler count, a singular
-    residue of g or the cone space's H1, which every graph has; Sphere on a
+    Verdicts carry a checkable certificate about g itself.  The cheap tests
+    of `_ladder` decide every graph through dimension two.  Above it,
+    NotSphere rests on orientability, the Euler count, a singular residue
+    of g or the cone space's H1, which every graph has; Sphere on a
     reduction to the order-2 graph; Unknown remains otherwise.  Residue
     classes come from `g.classification`, or from `classify_graph(g,
     step_limit)` under a budget.  `step_limit` caps the cancellations of
     this reduction and of every nested one.
     """
-    n = g.n
-    if g.order == 2:
-        return SphereStatus(Verdict.SPHERE, "order-2 graph")
-    if n == 1:
-        return SphereStatus(Verdict.SPHERE, "bicolored cycle")
-
-    bip = g.is_bipartite()
-    if n == 2:
-        chi = quasi_manifold_euler(g)
-        if bip is not None and chi == 2:
-            return SphereStatus(Verdict.SPHERE, "closed orientable surface with chi=2")
-        return SphereStatus(
-            Verdict.NOT_SPHERE,
-            f"surface with chi={chi}, bipartite={bip is not None}",
-        )
-
-    if bip is None:
-        return SphereStatus(Verdict.NOT_SPHERE, "not bipartite, hence not orientable")
-
-    chi = quasi_manifold_euler(g)
-    target = 2 if n % 2 == 0 else 0
-    if chi != target:
-        return SphereStatus(Verdict.NOT_SPHERE, f"chi={chi}, a {n}-sphere needs {target}")
-
-    # a singular residue on 3..n colors kills sphereness
+    status = _ladder(g.matchings, 0, g.order, lambda: quasi_manifold_euler(g))
+    if status is not None:
+        return status
     cls = g.classification if step_limit is None else classify_graph(g, step_limit)
     singular = cls.singular_views()
     if singular:
@@ -104,32 +83,52 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
         return SphereStatus(
             Verdict.NOT_SPHERE, f"singular {rv.colors} residue at vertex {rv.vertices[0]}"
         )
-
-    # H1 is read only when the reduction stalls: reaching order two proves it trivial
-    steps = _reduce_to_point(g, step_limit)
-    if steps is not None:
-        return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {steps} moves")
-    h1 = h1_quasi_manifold(g)
-    if not h1.trivial:
-        return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
-    reason = "reduction stalled"
-    if cls.unresolved:
-        reason += " with unclassified residues"
-    return SphereStatus(Verdict.UNKNOWN, reason)
+    status = _reduce(g, step_limit)
+    if status.verdict is Verdict.UNKNOWN and cls.unresolved:
+        return SphereStatus(Verdict.UNKNOWN, f"{status.certificate} with unclassified residues")
+    return status
 
 
-def _reduce_to_point(g: ColoredGraph, step_limit: Optional[int]) -> Optional[int]:
-    """Greedily cancel certified-ordinary dipoles; step count if the order-2
-    graph is reached, None if the reduction stalls or overruns."""
+def _ladder(rows, root: int, order: int, euler) -> Optional[SphereStatus]:
+    """The cheap sphere tests, in order, on the graph the matching `rows`
+    span through `root`: order two, two colors, bipartite, Euler count, and
+    on three colors the surface rule.  None when every test passes; the
+    Euler count `euler()` is read only when the tests above it pass."""
+    n = len(rows) - 1
+    if order == 2:
+        return SphereStatus(Verdict.SPHERE, "order-2 graph")
+    if n == 1:
+        return SphereStatus(Verdict.SPHERE, "bicolored cycle")
+    if _two_color(rows, (root,)) is None:
+        return SphereStatus(Verdict.NOT_SPHERE, "not bipartite, hence not orientable")
+    chi = euler()
+    target = 2 if n % 2 == 0 else 0
+    if chi != target:
+        return SphereStatus(Verdict.NOT_SPHERE, f"chi={chi}, a {n}-sphere needs {target}")
+    if n == 2:  # the closed orientable surface of Euler characteristic 2
+        return SphereStatus(Verdict.SPHERE, "closed orientable surface with chi=2")
+    return None
+
+
+def _reduce(g: ColoredGraph, step_limit: Optional[int]) -> SphereStatus:
+    """Greedily cancel certified-ordinary dipoles: Sphere if the order-2
+    graph is reached, else NotSphere if the cone space's H1 is nontrivial,
+    else Unknown (the reduction stalled or overran `step_limit`)."""
     cur = g
     steps = 0
     while cur.order > 2 and (step_limit is None or steps < step_limit):
         site = certified_site(cur, step_limit)
         if site is None:
-            return None
+            break
         cur = cancel_site(cur, site[0], site[1])
         steps += 1
-    return steps if cur.order == 2 else None
+    if cur.order == 2:
+        return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {steps} moves")
+    # H1 is read only when the reduction stalls: reaching order two proves it trivial
+    h1 = h1_quasi_manifold(g)
+    if not h1.trivial:
+        return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
+    return SphereStatus(Verdict.UNKNOWN, "reduction stalled")
 
 
 def certified_site(
@@ -239,13 +238,12 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
     from g's own lattice; `g.classification` keeps the result without a
     `step_limit`.
 
-    An h-residue of order two is ordinary.  Otherwise it is singular if its
-    Euler count (the alternating count of the residues inside it) is not the
-    (h-1)-sphere's, if a residue inside it is singular, or if it is not
-    bipartite.  A 3-residue that passes these tests is a sphere, the closed
-    orientable surface of Euler characteristic 2.  Only a larger one is
-    rebuilt as a graph, and takes the verdict of `sphere_status`, whose
-    reductions obey `step_limit`.
+    An h-residue is singular if a residue inside it is singular.  Otherwise
+    the tests of `_ladder` decide it, with the Euler count (the alternating
+    count of the residues inside it) this pass accumulates, so a 3-residue
+    is never rebuilt.  Only a larger one that passes them all is rebuilt as
+    a graph and reduced, under `step_limit`; the rebuilt residue is never
+    classified again, as every residue inside it is classified already.
     """
     lattice = g.lattice
     classes: dict = {}
@@ -270,14 +268,12 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
                         bad.add(key)
         rows = [g.matchings[c] for c in colors_of(mask)]
         for rv in views:
-            if rv.size == 2:
-                classes[rv.key] = ResidueClass.ORDINARY
-            elif chi[rv.key] != 2 * (h % 2) or rv.key in bad or _two_color(rows, rv.vertices[:1]) is None:
+            if rv.key in bad:
                 classes[rv.key] = ResidueClass.SINGULAR
-            elif h == 3:
-                classes[rv.key] = ResidueClass.ORDINARY
             else:
-                classes[rv.key] = _CLASS_OF[sphere_status(rv.as_graph(), step_limit).verdict]
+                status = _ladder(rows, rv.vertices[0], rv.size, lambda: chi[rv.key])
+                status = status or _reduce(rv.as_graph(), step_limit)
+                classes[rv.key] = _CLASS_OF[status.verdict]
     return Classification(lattice, classes)
 
 

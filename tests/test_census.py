@@ -426,8 +426,16 @@ def _repeat_first_entry(text):
         (lambda text: text.replace(" n=4 ", " n=3 ", 1), "header says n=3 order=6"),
         (lambda text: text.replace(" order=6 ", " order=8 ", 1), "header says n=4 order=8"),
         (_repeat_first_entry, "appears twice"),
+        (lambda text: text.replace("supercontracted", "supercontracted,bipratite", 1),
+         "unknown filter tags"),
+        (lambda text: text.replace("supercontracted", "bipartite,nonbipartite", 1),
+         "both bipartite and nonbipartite"),
+        # the census holds 31 non-bipartite entries, which the filter excludes
+        (lambda text: text.replace("supercontracted", "supercontracted,bipartite", 1),
+         "counts entries the filter excludes"),
     ],
-    ids=["header-n", "header-order", "repeated-entry"],
+    ids=["header-n", "header-order", "repeated-entry", "unknown-filter", "both-parities",
+         "parity-filter"],
 )
 def test_catalogue_entries_checked(edit, match):
     from gemkit import GemSyntaxError

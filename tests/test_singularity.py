@@ -16,6 +16,7 @@ from gemkit import (
     ColoredGraph,
     ResidueClass,
     ResidueView,
+    SphereStatus,
     UnresolvedResidueError,
     Verdict,
     boundary_structure,
@@ -66,7 +67,7 @@ def test_bigon_cycles_are_circles():
 def test_torus_not_sphere(t6):
     st = sphere_status(t6)
     assert st.verdict is Verdict.NOT_SPHERE
-    assert "chi" in st.certificate
+    assert st.certificate == "chi=0, a 2-sphere needs 2"
 
 
 def test_rp3_not_sphere_with_homology_witness():
@@ -108,6 +109,9 @@ def test_complete_graph_residue_is_singular():
     sub = rv.as_graph()
     bigons = sum(len(residues(sub, pair)) for pair in itertools.combinations(range(3), 2))
     assert bigons - sub.order // 2 == 1  # chi(RP2) = 1
+    assert sphere_status(sub) == SphereStatus(
+        Verdict.NOT_SPHERE, "not bipartite, hence not orientable"
+    )
     assert classify_residue(rv) is ResidueClass.SINGULAR
 
 
@@ -144,6 +148,25 @@ def test_analysis_computed_once(fixtures_all):
         assert g.classification is g.classification
         assert g.classification.lattice is g.lattice
         assert classify_graph(g).classes == g.classification.classes
+
+
+def test_classification_is_one_pass(monkeypatch, sphere8):
+    """A residue rebuilt for a reduction is reduced, not classified again:
+    classifying a graph runs a single classify_graph pass."""
+    import gemkit.singularity
+
+    passes = []
+    classify = gemkit.singularity.classify_graph
+
+    def spy(g, step_limit=None):
+        passes.append(g)
+        return classify(g, step_limit)
+
+    monkeypatch.setattr(gemkit.singularity, "classify_graph", spy)
+    for g in (q4(), sphere8):
+        passes.clear()
+        assert not g.classification.unresolved
+        assert passes == [g]
 
 
 def test_analysis_holds_no_reference_to_its_graph():
@@ -440,22 +463,24 @@ def test_h1_torus_spaces():
 
 
 def test_step_limit_reaches_nested_recognition(monkeypatch, sphere8):
-    """A caller's reduction budget binds every nested recognition, the
-    complement residues tried while picking a dipole included."""
+    """A caller's reduction budget binds every nested reduction, those of
+    rebuilt residues and of the complement residues tried while picking a
+    dipole included."""
     import gemkit.singularity
 
     limits = []
+    reduce = gemkit.singularity._reduce
 
-    def spy(g, step_limit=None):
+    def spy(g, step_limit):
         limits.append(step_limit)
-        return sphere_status(g, step_limit)
+        return reduce(g, step_limit)
 
     # nested calls resolve the module-level name, so they reach the spy
-    monkeypatch.setattr(gemkit.singularity, "sphere_status", spy)
+    monkeypatch.setattr(gemkit.singularity, "_reduce", spy)
     for k, seed in ((0, 1), (2, 1), (3, 2)):
         for base in (q4(), sphere8):
             limits.clear()
-            gemkit.singularity.sphere_status(inflate(base, k, random.Random(seed)), step_limit=5)
+            sphere_status(inflate(base, k, random.Random(seed)), step_limit=5)
             assert len(limits) > 1
             assert set(limits) == {5}
 
