@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from . import census as census_mod
@@ -57,6 +58,7 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@cache  # one parser per process: main may run many commands
 def build_parser() -> _Parser:
     top = _Parser(prog="gemkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -191,11 +193,9 @@ def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
 def cmd_analyze(args) -> int:
     g = _load(args.file)
     rec, unresolved = _analysis_records(g)
-    if args.format == "records":
-        sys.stdout.write(_records(rec))
-    else:
+    if args.format == "text":
         print(f"analysis of {args.file}")
-        sys.stdout.write(_records(rec))
+    sys.stdout.write(_records(rec))
     return EXIT_UNRESOLVED if unresolved else EXIT_OK
 
 
@@ -228,12 +228,10 @@ def cmd_gdegree(args) -> int:
         rec["check_closed_form"] = checks.closed_form
         rec["check_subdegree"] = checks.subdegree
         rec["check_pair_relation"] = all(checks.pair_relation.values())
-    if args.format == "records":
-        sys.stdout.write(_records(rec))
-    else:
+    if args.format == "text":
         for eps, rho in sorted(report.genera.items()):
             print(f"rho{eps} = {rho}")
-        sys.stdout.write(_records(rec))
+    sys.stdout.write(_records(rec))
     return EXIT_OK
 
 

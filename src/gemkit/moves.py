@@ -1,11 +1,15 @@
 """Graph moves: dipole detection and cancellation/addition, suspension,
 connected sums, vertex indices, internalization, and simplification.
 
-The mechanical layer (finding candidate pairs, surgery on matchings) needs no
-topology.  `find_dipoles` labels every dipole from the graph's residue
-classification; `simplify` cancels the dipole `singularity.certified_site`
-picks, which classifies only the residues it tries.  Both imports from
-`singularity` are lazy to keep the module graph acyclic.
+The mechanical dipole layer needs no topology: `joined_pairs` lists the
+pairs v < w sharing 1..n colors, and `dipole_side` walks the complement
+residue through v until it meets w, so one walk both separates a pair and
+yields the residue whose sphere test certifies it.  `dipole_sites` keeps the
+separated pairs, and `find_dipoles` labels them from the graph's residue
+classification.  `simplify` runs `singularity.cancel_certified`, the greedy
+loop sphere recognition also reduces by, which tries one pair at a time
+through `certified_site`.  Both imports from `singularity` are lazy to keep
+the module graph acyclic.
 """
 
 from __future__ import annotations
@@ -62,41 +66,43 @@ def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
     return tuple(c for c in g.colors if g.matchings[c][v] == w)
 
 
-def _separated(g: ColoredGraph, v: int, w: int, mask: int) -> bool:
-    cols = colors_of(mask)
+def joined_pairs(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every (v, w, colors) with v < w joined by 1..n colors, in vertex order:
+    the candidate dipole sites, before the separation test."""
+    return [
+        (v, w, cols)
+        for v in g.vertices
+        for w in sorted({row[v] for row in g.matchings})
+        if w > v and len(cols := joined_colors(g, v, w)) <= g.n
+    ]
+
+
+def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:
+    """The vertices of the residue through v on the colors outside `cols`,
+    or None as soon as the walk meets w: (v, w) is then no dipole."""
+    rows = [g.matchings[c] for c in g.colors if c not in cols]
     seen = {v}
     stack = [v]
     while stack:
         u = stack.pop()
-        for c in cols:
-            x = g.matchings[c][u]
+        for row in rows:
+            x = row[u]
             if x == w:
-                return False
+                return None
             if x not in seen:
                 seen.add(x)
                 stack.append(x)
-    return True
+    return seen
 
 
 def dipole_sites(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
     """All (v, w, colors) dipole sites, v < w, in vertex order."""
-    out = []
-    for v in g.vertices:
-        partners = {g.matchings[c][v] for c in g.colors}
-        for w in sorted(partners):
-            if w < v:
-                continue
-            cols = joined_colors(g, v, w)
-            if 1 <= len(cols) <= g.n and _separated(g, v, w, complement(mask_of(cols), g.n)):
-                out.append((v, w, cols))
-    return out
+    return [site for site in joined_pairs(g) if dipole_side(g, *site) is not None]
 
 
 def cancel_site(g: ColoredGraph, v: int, w: int) -> ColoredGraph:
     """Remove the dipole at (v, w): delete both vertices and weld the hanging
     edges color by color.  Callers must have checked the site."""
-    if g.order <= 2:
-        raise WouldAnnihilateError("cancelling the only vertex pair")
     cols = joined_colors(g, v, w)
     keep = [u for u in g.vertices if u not in (v, w)]
     index = {u: i for i, u in enumerate(keep)}
@@ -129,7 +135,7 @@ def cancel_dipole(g: ColoredGraph, d: Dipole) -> ColoredGraph:
     cols = joined_colors(g, v, w)
     if cols != tuple(sorted(d.colors)):
         raise NotADipoleError(f"pair {d.vertices} joined by {cols}, not {d.colors}")
-    if not _separated(g, v, w, complement(mask_of(cols), g.n)):
+    if dipole_side(g, v, w, cols) is None:
         raise NotADipoleError(f"pair {d.vertices} shares its complement residue")
     return cancel_site(g, v, w)
 
@@ -225,21 +231,13 @@ def find_dipoles(g: ColoredGraph) -> list[Dipole]:
         comp = complement(mask_of(cols), g.n)
         side_v = cls.of_containing(comp, v)
         side_w = cls.of_containing(comp, w)
-        if side_v is ResidueClass.SINGULAR and side_w is ResidueClass.SINGULAR:
+        kind, proper = None, Properness.UNKNOWN
+        if ResidueClass.ORDINARY in (side_v, side_w):
+            kind, proper = DipoleKind.ORDINARY, Properness.PROPER
+        elif side_v is side_w is ResidueClass.SINGULAR:
             kind = DipoleKind.SINGULAR
-        elif ResidueClass.ORDINARY in (side_v, side_w):
-            kind = DipoleKind.ORDINARY
-        else:
-            kind = None
-        if kind is DipoleKind.ORDINARY:
-            proper = Properness.PROPER
-        elif kind is DipoleKind.SINGULAR:
             if singular_manifold is True or _strictly_pinched(g, cls, v, w, comp):
                 proper = Properness.NOT_PROPER
-            else:
-                proper = Properness.UNKNOWN
-        else:
-            proper = Properness.UNKNOWN
         out.append(Dipole((v, w), cols, kind, proper))
     return out
 
@@ -308,13 +306,11 @@ def internalize(g: ColoredGraph) -> ColoredGraph:
         if best.index == 0:
             return cur
         v = best.vertex
-        chosen = None
-        for c in cur.colors:
-            if cls.of_containing(complement(1 << c, cur.n), v) is ResidueClass.SINGULAR:
-                chosen = c
-                break
-        dipole_colors = [d for d in cur.colors if d != chosen]
-        cur = add_dipole(cur, v, dipole_colors)
+        chosen = next(
+            c for c in cur.colors
+            if cls.of_containing(complement(1 << c, cur.n), v) is ResidueClass.SINGULAR
+        )
+        cur = add_dipole(cur, v, [d for d in cur.colors if d != chosen])
 
 
 @dataclass(frozen=True)
@@ -327,23 +323,20 @@ class SimplifyResult:
 def simplify(g: ColoredGraph) -> SimplifyResult:
     """Cancel proper dipoles until none are certified ordinary.
 
-    Each step cancels the site `singularity.certified_site` picks: largest
-    dipoles first (top-size dipoles never need residue classification), ties
-    broken by smallest vertex pair.  Only the final graph is classified in
-    full: if unclassifiable dipoles remain the result is flagged incomplete,
-    since an ordinary dipole may be hiding among them.
+    The moves are those of `singularity.cancel_certified`, the loop sphere
+    recognition reduces by: largest dipoles first, ties broken by smallest
+    vertex pair.  Only the final graph is classified in full: if
+    unclassifiable dipoles remain the result is flagged incomplete, since an
+    ordinary dipole may be hiding among them.
     """
-    from .singularity import certified_site
+    from .singularity import cancel_certified
 
-    cur = g
-    cancelled = []
-    while (site := certified_site(cur)) is not None:
-        v, w, cols = site
-        pick = Dipole((v, w), cols, DipoleKind.ORDINARY, Properness.PROPER)
-        cur = cancel_dipole(cur, pick)
-        cancelled.append(pick)
+    cur, sites = cancel_certified(g)
+    cancelled = tuple(
+        Dipole((v, w), cols, DipoleKind.ORDINARY, Properness.PROPER) for v, w, cols in sites
+    )
     complete = all(d.kind is not None for d in find_dipoles(cur))
-    return SimplifyResult(cur, complete=complete, cancelled=tuple(cancelled))
+    return SimplifyResult(cur, complete=complete, cancelled=cancelled)
 
 
 def inflate(g: ColoredGraph, k: int, rng: random.Random) -> ColoredGraph:

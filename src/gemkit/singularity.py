@@ -19,9 +19,9 @@ from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, _component, _two_color
+from .graph import ColoredGraph, _two_color
 from .groups import AbelianInvariants, h1_from_rows
-from .moves import cancel_site, dipole_sites
+from .moves import cancel_site, dipole_side, joined_pairs
 from .residues import (
     ResidueLattice,
     ResidueView,
@@ -111,24 +111,32 @@ def _ladder(rows, root: int, order: int, euler) -> Optional[SphereStatus]:
 
 
 def _reduce(g: ColoredGraph, step_limit: Optional[int]) -> SphereStatus:
-    """Greedily cancel certified-ordinary dipoles: Sphere if the order-2
-    graph is reached, else NotSphere if the cone space's H1 is nontrivial,
-    else Unknown (the reduction stalled or overran `step_limit`)."""
-    cur = g
-    steps = 0
-    while cur.order > 2 and (step_limit is None or steps < step_limit):
-        site = certified_site(cur, step_limit)
-        if site is None:
-            break
-        cur = cancel_site(cur, site[0], site[1])
-        steps += 1
+    """Sphere if `cancel_certified` reaches the order-2 graph, else NotSphere
+    if the cone space's H1 is nontrivial, else Unknown (the reduction
+    stalled or overran `step_limit`)."""
+    cur, sites = cancel_certified(g, step_limit)
     if cur.order == 2:
-        return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {steps} moves")
+        return SphereStatus(Verdict.SPHERE, f"reduced to the order-2 graph in {len(sites)} moves")
     # H1 is read only when the reduction stalls: reaching order two proves it trivial
     h1 = h1_quasi_manifold(g)
     if not h1.trivial:
         return SphereStatus(Verdict.NOT_SPHERE, f"H1 = {h1} is nontrivial")
     return SphereStatus(Verdict.UNKNOWN, "reduction stalled")
+
+
+def cancel_certified(g: ColoredGraph, step_limit: Optional[int] = None) -> tuple[ColoredGraph, list]:
+    """Cancel the site `certified_site` picks until none is left or
+    `step_limit` sites are cancelled; the last graph and the sites, in
+    order.  Sites are cancelled unchecked: each was certified on the same
+    immutable graph."""
+    sites = []
+    while step_limit is None or len(sites) < step_limit:
+        site = certified_site(g, step_limit)
+        if site is None:
+            break
+        g = cancel_site(g, site[0], site[1])
+        sites.append(site)
+    return g, sites
 
 
 def certified_site(
@@ -140,25 +148,24 @@ def certified_site(
 
     Certified means exactly what `find_dipoles` labels ordinary: the
     complement residue through v or w is a sphere (always so for n-1 or
-    more colors, whose complement residues are edges or cycles).
+    more colors, whose complement residues are edges or cycles).  Each
+    joined pair is walked only when its turn comes, and the walk that puts
+    w outside v's residue is the residue then recognized.
     """
-    n = g.n
-    sites = sorted(dipole_sites(g), key=lambda s: (-len(s[2]), s[0], s[1]))
-    for v, w, cols in sites:
-        if len(cols) >= n - 1:
+    for v, w, cols in sorted(joined_pairs(g), key=lambda s: (-len(s[2]), s[0], s[1])):
+        side = dipole_side(g, v, w, cols)
+        if side is not None and (
+            len(cols) >= g.n - 1
+            or _is_sphere(g, cols, side, step_limit)
+            or _is_sphere(g, cols, dipole_side(g, w, v, cols), step_limit)
+        ):
             return (v, w, cols)
-        comp = complement(mask_of(cols), n)
-        for u in (v, w):
-            rv = _component_view(g, comp, u)
-            if sphere_status(rv.as_graph(), step_limit).verdict is Verdict.SPHERE:
-                return (v, w, cols)
     return None
 
 
-def _component_view(g: ColoredGraph, mask: int, v: int) -> ResidueView:
-    rows = [g.matchings[c] for c in colors_of(mask)]
-    comp = _component(rows, v, [False] * g.order)
-    return ResidueView(g.matchings, mask, tuple(sorted(comp)))
+def _is_sphere(g: ColoredGraph, cols, side, step_limit: Optional[int]) -> bool:
+    rv = ResidueView(g.matchings, complement(mask_of(cols), g.n), tuple(sorted(side)))
+    return sphere_status(rv.as_graph(), step_limit).verdict is Verdict.SPHERE
 
 
 # ============================================================

@@ -235,3 +235,15 @@ def test_export_dot(q4_file):
 def test_main_callable_in_process(q4_file, capsys):
     assert main(["classify", q4_file]) == 0
     assert capsys.readouterr().out.strip() == "S4"
+
+
+def test_main_twice_in_one_process(t6_file, q4_file, capsys):
+    """The parser is built once per process; no call leaks state into the
+    next one, the appended --suspend list and a usage error included."""
+    assert main(["transform", "--suspend", "1", t6_file]) == 0
+    assert parse_gem(capsys.readouterr().out).n == 3
+    assert main(["transform", t6_file]) == 0
+    assert len(parse_gem(capsys.readouterr().out).matchings) == 3
+    assert main(["analyze"]) == 1
+    assert main(["classify", q4_file]) == 0
+    assert capsys.readouterr().out.strip() == "S4"

@@ -1,10 +1,12 @@
 """Dipole moves, suspension, connected sums, vertex indices, simplify."""
 
+import itertools
 import random
 
 import pytest
 
 from gemkit import (
+    AbelianInvariants,
     ColoredGraph,
     DimensionMismatchError,
     Dipole,
@@ -18,12 +20,15 @@ from gemkit import (
     connected_sum,
     find_dipoles,
     fingerprint,
+    h1_manifold,
     inflate,
     internalize,
     isomorphic,
     quasi_manifold_euler,
     simplify,
     singular_summary,
+    smith_invariant_factors,
+    sphere_status,
     suspend,
     vertex_index,
 )
@@ -289,6 +294,36 @@ def test_sum_at_internal_vertices_adds_euler():
     assert quasi_manifold_euler(s) == quasi_manifold_euler(a) + quasi_manifold_euler(b) - 2
 
 
+def _direct_sum(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvariants:
+    """a + b in invariant-factor form, from the Smith form of the diagonal
+    matrix of both torsion lists."""
+    diagonal = a.torsion + b.torsion
+    rows = [[d if j == i else 0 for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+    factors = smith_invariant_factors(rows, len(diagonal))
+    return AbelianInvariants(a.free_rank + b.free_rank, tuple(d for d in factors if d > 1))
+
+
+def test_sum_adds_first_homology():
+    """H1 of a connected sum is the direct sum of the summands' H1: for
+    closed 3-manifolds at any vertices, and with a boundary summand at an
+    internal vertex."""
+    closed = [k2(3), rp3()]
+    for a, b in itertools.product(closed, repeat=2):
+        want = _direct_sum(h1_manifold(a), h1_manifold(b))
+        for v, w in itertools.product(a.vertices, b.vertices):
+            assert h1_manifold(connected_sum(a, v, b, w)) == want
+    assert str(h1_manifold(connected_sum(rp3(), 0, rp3(), 5))) == "Z/2+Z/2"
+
+    bounded = internalize(torus_interval())
+    v = next(v for v in bounded.vertices if vertex_index(bounded, v).internal)
+    for b in closed:
+        want = _direct_sum(h1_manifold(bounded), h1_manifold(b))
+        for w in b.vertices:
+            assert h1_manifold(connected_sum(bounded, v, b, w)) == want
+            assert h1_manifold(connected_sum(b, w, bounded, v)) == want
+    assert str(h1_manifold(connected_sum(bounded, v, rp3(), 0))) == "Z+Z+Z/2"
+
+
 def test_boundary_sum_merges_components():
     """Summing at index-one vertices over matching singular residues turns
     two boundary components into one."""
@@ -416,6 +451,16 @@ def test_simplify_matches_full_reclassification(sphere8):
                 assert (res.graph, res.cancelled, res.complete) == (
                     simplify_by_reclassification(grown)
                 )
+
+
+def test_simplify_and_sphere_status_cancel_alike():
+    """`simplify` and sphere recognition share one reduction loop: on a
+    sphere, the certificate counts the moves `simplify` makes."""
+    for base in (k2(3), k2(4), q4()):
+        for seed in range(6):
+            g = inflate(base, 12, random.Random(seed))
+            moves = len(simplify(g).cancelled)
+            assert sphere_status(g).certificate == f"reduced to the order-2 graph in {moves} moves"
 
 
 def test_simplify_classifies_the_graph_once(monkeypatch):

@@ -19,6 +19,7 @@ from gemkit import (
     SphereStatus,
     UnresolvedResidueError,
     Verdict,
+    add_dipole,
     boundary_structure,
     classify_graph,
     classify_residue,
@@ -510,3 +511,37 @@ def test_unresolved_refusal():
     g = q4()
     st = sphere_status(g, step_limit=0)
     assert st.verdict is Verdict.UNKNOWN
+
+
+def test_certified_site_walks_pairs_lazily(monkeypatch):
+    """`certified_site` tries the joined pairs in its own order, most colors
+    first, then smallest pair, and walks a pair only when its turn comes: no
+    more walks than pairs up to the site it returns, and no full site list."""
+    import gemkit.moves
+    import gemkit.singularity
+
+    walks = []
+    walk = gemkit.moves.dipole_side
+
+    def counting(g, v, w, cols):
+        walks.append((v, w))
+        return walk(g, v, w, cols)
+
+    def no_site_list(g):
+        raise AssertionError("certified_site listed every dipole site")
+
+    monkeypatch.setattr(gemkit.singularity, "dipole_side", counting)
+    for module in (gemkit.moves, gemkit.singularity):
+        monkeypatch.setattr(module, "dipole_sites", no_site_list, raising=False)
+    dipole_free = random_graph(4, 12, random.Random(0))
+    for g in (inflate(k2(4), 25, random.Random(3)), add_dipole(dipole_free, 11, (0, 1))):
+        walks.clear()
+        site = gemkit.singularity.certified_site(g)
+        pairs = [
+            (v, w, cols)
+            for v, w in itertools.combinations(g.vertices, 2)
+            if 1 <= len(cols := tuple(c for c in g.colors if g.matchings[c][v] == w)) <= g.n
+        ]
+        pairs.sort(key=lambda s: (-len(s[2]), s[0], s[1]))
+        assert site is not None
+        assert 0 < len(walks) <= pairs.index(site) + 1 < len(pairs)
