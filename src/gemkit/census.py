@@ -36,8 +36,10 @@ from .graph import (
     _component,
     _component_table,
     _components,
+    _find,
     _min_rooted_table,
     _two_color,
+    _union,
     canonical_matchings,
     format_code_line,
     parse_code_line,
@@ -181,13 +183,6 @@ def _orbit_roots(table, involutions, index: dict) -> list:
     automorphisms of `table` acting by conjugation, e -> s e s^-1;
     `index` maps each involution to its position."""
     root = list(range(len(involutions)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
     for perm in _automorphism_generators(table):
         inverse = [0] * len(perm)
         for v, w in enumerate(perm):
@@ -195,10 +190,8 @@ def _orbit_roots(table, involutions, index: dict) -> list:
         for i, e in enumerate(involutions):
             j = index[tuple([perm[e[u]] for u in inverse])]
             if j != i:
-                a, b = find(i), find(j)
-                if a != b:
-                    root[max(a, b)] = min(a, b)
-    return [find(i) for i in range(len(involutions))]
+                _union(root, i, j)
+    return [_find(root, i) for i in range(len(involutions))]
 
 
 def _connected(matchings, order: int) -> bool:
@@ -442,6 +435,7 @@ def census_report(cat: Catalogue) -> CensusReport:
     singular_count = 0
     for line in cat.entries:
         g = parse_code_line(line)
+        bipartite = g.is_bipartite() is not None
         omega_reduced = None
         closed = is_closed_manifold(g)
         singular = is_singular_manifold(g)
@@ -462,7 +456,7 @@ def census_report(cat: Catalogue) -> CensusReport:
                 failures.append(f"{line}: bigon-count inequality")
             if singular is not None and (slack == 0) != singular:
                 failures.append(f"{line}: singular-manifold equality case")
-            parity_applies = g.is_bipartite() is not None or singular is True
+            parity_applies = bipartite or singular is True
             if parity_applies and omega_reduced is not None and omega_reduced % 2:
                 failures.append(f"{line}: reduced degree parity")
             hist[omega_reduced] = hist.get(omega_reduced, 0) + 1
@@ -479,7 +473,7 @@ def census_report(cat: Catalogue) -> CensusReport:
         rows.append(
             CensusRow(
                 code=line,
-                bipartite=g.is_bipartite() is not None,
+                bipartite=bipartite,
                 closed=closed,
                 singular_manifold=singular,
                 omega_reduced=omega_reduced,

@@ -240,7 +240,8 @@ def _components(rows: Sequence, order: int) -> list:
 def _two_color(rows: Sequence, roots: Optional[Sequence] = None) -> Optional[list]:
     """Sides 0/1 of a 2-coloring along the given rows, None if there is
     none; only the components of `roots` (default: every vertex) are
-    colored, the other entries stay None."""
+    colored, the other entries stay None.  A walk of its own, not
+    `_component`'s, as it stops at the first conflict."""
     side: list = [None] * len(rows[0])
     for root in range(len(rows[0])) if roots is None else roots:
         if side[root] is not None:
@@ -259,6 +260,37 @@ def _two_color(rows: Sequence, roots: Optional[Sequence] = None) -> Optional[lis
     return side
 
 
+def _cycle(rows: Sequence, a: int, b: int, start: int) -> Iterator[tuple[int, int, int]]:
+    """The {a, b}-colored cycle through `start`, once round: one step
+    (color, v, w) per edge crossed from v to w, colors alternating, the
+    first along color a."""
+    v, c, d = start, a, b
+    while True:
+        w = rows[c][v]
+        yield c, v, w
+        v, c, d = w, d, c
+        if v == start:
+            return
+
+
+def _find(parent: list, x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, x: int, y: int) -> bool:
+    """Join the classes of x and y under the smaller root; False if they
+    were one class already."""
+    a, b = _find(parent, x), _find(parent, y)
+    if a == b:
+        return False
+    parent[max(a, b)] = min(a, b)
+    return True
+
+
 def _min_rooted_table(
     matchings: Matchings, best: Optional[Matchings] = None, ties: Optional[list] = None
 ) -> Matchings:
@@ -268,6 +300,8 @@ def _min_rooted_table(
     A list given as `ties` ends up holding the discovery order of every start
     whose table is the returned one.  Two such orders, matched position by
     position, map the input onto itself color by color: an automorphism.
+    A walk of its own: discovery order is the labeling, and a start is
+    dropped mid-walk.
     """
     order = len(matchings[0])
     first = matchings[0]
@@ -351,6 +385,8 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
 
 
 def _pair_components(matchings: Matchings, i: int, j: int) -> int:
+    """Number of {i, j}-colored cycles, counted without listing them: a
+    walk of its own, as every census candidate's color signature reads it."""
     order = len(matchings[0])
     mi, mj = matchings[i], matchings[j]
     seen = [False] * order

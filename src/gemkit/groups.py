@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .graph import ColoredGraph
+from .graph import ColoredGraph, _cycle, _union
 from .residues import complement, residues
 
 Word = tuple  # tuple[tuple[int, int], ...]: (generator index, +1 | -1)
@@ -96,18 +96,11 @@ def c_group_presentation(g: ColoredGraph, c: int) -> GroupPresentation:
         if i == c:
             continue
         for rv in residues(g, (i, c)):
-            start = rv.vertices[0]
-            word = []
-            v, along_c = start, True
-            while True:
-                w = g.matchings[c if along_c else i][v]
-                if along_c:
-                    k = gen_index[(min(v, w), max(v, w))]
-                    word.append((k, 1 if v < w else -1))
-                v, along_c = w, not along_c
-                if v == start and along_c:
-                    break
-            relators.append(tuple(word))
+            relators.append(tuple(
+                (gen_index[min(v, w), max(v, w)], 1 if v < w else -1)
+                for color, v, w in _cycle(g.matchings, c, i, rv.vertices[0])
+                if color == c
+            ))
     labels = tuple(f"g{k}" for k in range(len(edges)))
     return GroupPresentation(labels, tuple(relators))
 
@@ -121,26 +114,11 @@ def connecting_relators(g: ColoredGraph, c: int) -> tuple[int, ...]:
     elements.
     """
     g.check_color(c)
-    comps = residues(g, complement(1 << c, g.n))
-    node_of = {}
-    for k, rv in enumerate(comps):
-        for v in rv.vertices:
-            node_of[v] = k
-    parent = list(range(len(comps)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for k, (v, w) in enumerate(c_edges(g, c)):
-        rv, rw = find(node_of[v]), find(node_of[w])
-        if rv != rw:
-            parent[rv] = rw
-            chosen.append(k)
-    return tuple(chosen)
+    mask = complement(1 << c, g.n)
+    # each residue is a node, named by its minimum vertex
+    node = {v: rv.vertices[0] for rv in g.lattice.residues(mask) for v in rv.vertices}
+    parent = list(range(g.order))
+    return tuple(k for k, (v, w) in enumerate(c_edges(g, c)) if _union(parent, node[v], node[w]))
 
 
 def quotient_presentation(g: ColoredGraph, c: int) -> GroupPresentation:

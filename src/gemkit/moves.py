@@ -1,15 +1,15 @@
 """Graph moves: dipole detection and cancellation/addition, suspension,
 connected sums, vertex indices, internalization, and simplification.
 
-The mechanical dipole layer needs no topology: `joined_pairs` lists the
-pairs v < w sharing 1..n colors, and `dipole_side` walks the complement
-residue through v until it meets w, so one walk both separates a pair and
-yields the residue whose sphere test certifies it.  `dipole_sites` keeps the
-separated pairs, and `find_dipoles` labels them from the graph's residue
-classification.  `simplify` runs `singularity.cancel_certified`, the greedy
-loop sphere recognition also reduces by, which tries one pair at a time
-through `certified_site`.  Both imports from `singularity` are lazy to keep
-the module graph acyclic.
+The mechanical dipole layer needs no topology and lives in `residues`, below
+`singularity`, which reduces by it; it is re-exported here.  `joined_pairs`
+lists the pairs v < w sharing 1..n colors, and `dipole_side` walks the
+complement residue through v until it meets w, so one walk both separates a
+pair and yields the residue whose sphere test certifies it.  `dipole_sites`
+keeps the separated pairs, and `find_dipoles` labels them from the graph's
+residue classification.  `simplify` runs `singularity.cancel_certified`, the
+greedy loop sphere recognition also reduces by, which tries one pair at a
+time through `certified_site`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .errors import (
 )
 from .graph import ColoredGraph
 from .residues import colors_of, complement, mask_of
+from .residues import cancel_site, dipole_side, joined_colors, joined_pairs  # re-exported
+from .singularity import ResidueClass, cancel_certified, is_singular_manifold
 
 
 class DipoleKind(Enum):
@@ -62,67 +64,9 @@ class Dipole:
 # ============================================================
 
 
-def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
-    return tuple(c for c in g.colors if g.matchings[c][v] == w)
-
-
-def joined_pairs(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Every (v, w, colors) with v < w joined by 1..n colors, in vertex order:
-    the candidate dipole sites, before the separation test."""
-    return [
-        (v, w, cols)
-        for v in g.vertices
-        for w in sorted({row[v] for row in g.matchings})
-        if w > v and len(cols := joined_colors(g, v, w)) <= g.n
-    ]
-
-
-def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:
-    """The vertices of the residue through v on the colors outside `cols`,
-    or None as soon as the walk meets w: (v, w) is then no dipole."""
-    rows = [g.matchings[c] for c in g.colors if c not in cols]
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for row in rows:
-            x = row[u]
-            if x == w:
-                return None
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen
-
-
 def dipole_sites(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
     """All (v, w, colors) dipole sites, v < w, in vertex order."""
     return [site for site in joined_pairs(g) if dipole_side(g, *site) is not None]
-
-
-def cancel_site(g: ColoredGraph, v: int, w: int) -> ColoredGraph:
-    """Remove the dipole at (v, w): delete both vertices and weld the hanging
-    edges color by color.  Callers must have checked the site."""
-    cols = joined_colors(g, v, w)
-    keep = [u for u in g.vertices if u not in (v, w)]
-    index = {u: i for i, u in enumerate(keep)}
-    rows = []
-    for c in g.colors:
-        row = [0] * len(keep)
-        if c in cols:
-            for u in keep:
-                row[index[u]] = index[g.matchings[c][u]]
-        else:
-            a, b = g.matchings[c][v], g.matchings[c][w]
-            for u in keep:
-                x = g.matchings[c][u]
-                if x == v:
-                    x = b  # u is a; weld its edge through the pair to b
-                elif x == w:
-                    x = a
-                row[index[u]] = index[x]
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
 
 
 def cancel_dipole(g: ColoredGraph, d: Dipole) -> ColoredGraph:
@@ -222,8 +166,6 @@ def find_dipoles(g: ColoredGraph) -> list[Dipole]:
     means singular, any ordinary one means ordinary, otherwise the kind is
     left None and properness unknown.
     """
-    from .singularity import ResidueClass, is_singular_manifold
-
     cls = g.classification
     singular_manifold = is_singular_manifold(g)
     out = []
@@ -246,8 +188,6 @@ def _strictly_pinched(g: ColoredGraph, cls, v: int, w: int, comp_mask: int) -> b
     """True when every proper sub-residue of the complement through v or w is
     ordinary on at least one side, which certifies a singular dipole is not
     proper (its cancellation shifts the singular set's Euler characteristic)."""
-    from .singularity import ResidueClass
-
     comp_cols = colors_of(comp_mask)
     for r in range(3, len(comp_cols)):
         for sub in combinations(comp_cols, r):
@@ -270,8 +210,6 @@ class VertexIndex:
 
 def vertex_index(g: ColoredGraph, v: int) -> VertexIndex:
     """Number of singular residues missing one color that contain v."""
-    from .singularity import ResidueClass
-
     if not 0 <= v < g.order:
         raise InvalidVertexError(f"vertex {v} outside 0..{g.order - 1}")
     cls = g.classification
@@ -296,8 +234,6 @@ def internalize(g: ColoredGraph) -> ColoredGraph:
     the minimal index by one, so at most (initial minimal index) dipoles are
     added.
     """
-    from .singularity import ResidueClass
-
     cur = g
     while True:
         cls = cur.classification
@@ -329,8 +265,6 @@ def simplify(g: ColoredGraph) -> SimplifyResult:
     unclassifiable dipoles remain the result is flagged incomplete, since an
     ordinary dipole may be hiding among them.
     """
-    from .singularity import cancel_certified
-
     cur, sites = cancel_certified(g)
     cancelled = tuple(
         Dipole((v, w), cols, DipoleKind.ORDINARY, Properness.PROPER) for v, w, cols in sites

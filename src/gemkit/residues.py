@@ -1,8 +1,13 @@
-"""Residues: color-restricted components, their counts, and the containment poset.
+"""Residues: color-restricted components, their counts, the containment
+poset, and the dipole mechanics.
 
 Color sets are bitmasks over 0..n; a Delta-residue is one connected component
 of the subgraph that keeps only the colors in Delta.  The poset of all
 residues under containment drives every topological computation downstream.
+A dipole is a pair of vertices joined by 1..n colors and separated by the
+residue on the other colors; finding and cancelling one needs no topology,
+so it lives here, below `singularity`, whose sphere recognition reduces by
+it, and `moves`, which re-exports it.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import ColorRangeError
-from .graph import ColoredGraph, Matchings, _components
+from .graph import ColoredGraph, Matchings, _component_table, _components
 
 ResidueKey = tuple  # (mask, minimum vertex)
 
@@ -98,11 +103,7 @@ class ResidueView:
         cols = self.colors
         if len(cols) < 2:
             raise ValueError("residues with fewer than two colors have no graph form")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        rows = tuple(
-            tuple(index[self.matchings[c][v]] for v in self.vertices) for c in cols
-        )
-        return ColoredGraph(rows)
+        return ColoredGraph(_component_table([self.matchings[c] for c in cols], self.vertices))
 
     def __repr__(self) -> str:
         return f"ResidueView(colors={self.colors}, vertices={self.vertices})"
@@ -208,12 +209,6 @@ class ResidueLattice:
 
     # ---- order relation ----
 
-    def contains(self, big: ResidueView, small: ResidueView) -> bool:
-        """small < big in the residue poset (strict containment)."""
-        if small.mask == big.mask or (small.mask & ~big.mask):
-            return False
-        return self.residue_containing(big.mask, small.vertices[0]).key == big.key
-
     def parents(self, rv: ResidueView) -> list[ResidueView]:
         """Covers above: one residue per color added to rv's color set.
         Residues on n colors are maximal and have none."""
@@ -242,3 +237,67 @@ class ResidueLattice:
 def residue_lattice(g: ColoredGraph) -> ResidueLattice:
     """A new, unwalked lattice of g; `g.lattice` builds one once and keeps it."""
     return ResidueLattice(g)
+
+
+# ============================================================
+# Dipole mechanics: joined pairs and their complement residues
+# ============================================================
+
+
+def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
+    return tuple(c for c in g.colors if g.matchings[c][v] == w)
+
+
+def joined_pairs(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every (v, w, colors) with v < w joined by 1..n colors, in vertex order:
+    the candidate dipole sites, before the separation test."""
+    return [
+        (v, w, cols)
+        for v in g.vertices
+        for w in sorted({row[v] for row in g.matchings})
+        if w > v and len(cols := joined_colors(g, v, w)) <= g.n
+    ]
+
+
+def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:
+    """The vertices of the residue through v on the colors outside `cols`,
+    or None as soon as the walk meets w: (v, w) is then no dipole.  A walk
+    of its own, not `_component`'s, for that early exit."""
+    rows = [g.matchings[c] for c in g.colors if c not in cols]
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for row in rows:
+            x = row[u]
+            if x == w:
+                return None
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
+def cancel_site(g: ColoredGraph, v: int, w: int) -> ColoredGraph:
+    """Remove the dipole at (v, w): delete both vertices and weld the hanging
+    edges color by color.  Callers must have checked the site."""
+    cols = joined_colors(g, v, w)
+    keep = [u for u in g.vertices if u not in (v, w)]
+    index = {u: i for i, u in enumerate(keep)}
+    rows = []
+    for c in g.colors:
+        row = [0] * len(keep)
+        if c in cols:
+            for u in keep:
+                row[index[u]] = index[g.matchings[c][u]]
+        else:
+            a, b = g.matchings[c][v], g.matchings[c][w]
+            for u in keep:
+                x = g.matchings[c][u]
+                if x == v:
+                    x = b  # u is a; weld its edge through the pair to b
+                elif x == w:
+                    x = a
+                row[index[u]] = index[x]
+        rows.append(tuple(row))
+    return ColoredGraph(tuple(rows))

@@ -19,15 +19,17 @@ from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, _two_color
+from .graph import ColoredGraph, _cycle, _find, _two_color, _union
 from .groups import AbelianInvariants, h1_from_rows
-from .moves import cancel_site, dipole_side, joined_pairs
 from .residues import (
     ResidueLattice,
     ResidueView,
+    cancel_site,
     colors_of,
     complement,
+    dipole_side,
     full_mask,
+    joined_pairs,
     mask_of,
 )
 
@@ -321,30 +323,22 @@ def singular_summary(g: ColoredGraph) -> SingularSetSummary:
     if not sing:
         return SingularSetSummary((), None, 0)
 
-    # chains of singular residues span the set; join comparable pairs
+    # chains of singular residues span the set.  Every residue between two
+    # singular ones contains the lower one, so is singular too: joining each
+    # singular residue to its singular covers joins every comparable pair.
+    at = {rv.key: i for i, rv in enumerate(sing)}
     parent = list(range(len(sing)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(sing):
-        for j in range(i + 1, len(sing)):
-            b = sing[j]
-            if cls.lattice.contains(a, b) or cls.lattice.contains(b, a):
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
+    for i, rv in enumerate(sing):
+        for up in cls.lattice.parents(rv):
+            if up.key in at:
+                _union(parent, i, at[up.key])
 
     groups: dict[int, list[ResidueView]] = {}
     for i, rv in enumerate(sing):
-        groups.setdefault(find(i), []).append(rv)
+        groups.setdefault(_find(parent, i), []).append(rv)
 
     comps = []
-    for members in groups.values():
-        members.sort(key=lambda rv: rv.key)
+    for members in groups.values():  # in key order, as `sing` is
         top = tuple(rv for rv in members if rv.h == n)
         dim = n - min(rv.h for rv in members)
         chi = sum((-1) ** (n - rv.h) for rv in members)
@@ -489,12 +483,8 @@ def h1_manifold(g: ColoredGraph) -> AbelianInvariants:
     rows = []
     for rv in g.lattice.all_residues(2, 2):
         row = [0] * len(edges)
-        v = rv.vertices[0]
-        for step in range(rv.size):  # once round the cycle, colors alternating
-            c = rv.colors[step % 2]
-            w = m[c][v]
+        for c, v, w in _cycle(m, *rv.colors, rv.vertices[0]):
             row[edges[c, min(v, w)]] += 1 if v < w else -1
-            v = w
         rows.append(row)
     return h1_from_rows(rows, len(edges), len(edges) - g.order + 1)
 

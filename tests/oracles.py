@@ -4,7 +4,8 @@ These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, canonical tables by exhaustive minimization without pruning,
 automorphisms by trying every vertex permutation, residue classes and
-bigon tables from each residue's own subgraph.
+bigon tables from each residue's own subgraph, singular-set components by
+joining every comparable pair of singular residues.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -266,6 +267,38 @@ def residue_classes(g):
             for comp in table_components([g.matchings[c] for c in cols], g.order):
                 out[mask, comp[0]] = _table_class(_sub_table(g.matchings, cols, comp))
     return out
+
+
+def singular_components(g):
+    """Components of the singular set by brute force: every singular residue
+    of `residue_classes` with its vertex set, and every comparable pair of
+    them joined.  Each component as (sorted member keys, dimension, Euler
+    number), ordered by first key."""
+    classes = residue_classes(g)
+    members = {}
+    for k in range(3, g.n + 1):
+        for cols in itertools.combinations(g.colors, k):
+            mask = sum(1 << c for c in cols)
+            for comp in table_components([g.matchings[c] for c in cols], g.order):
+                if classes[mask, comp[0]] == "singular":
+                    members[mask, comp[0]] = set(comp)
+
+    def comparable(a, b):
+        (ma, _), (mb, _) = a, b
+        va, vb = members[a], members[b]
+        return (ma & mb == ma and va <= vb) or (ma & mb == mb and vb <= va)
+
+    out = []
+    left = sorted(members)
+    while left:
+        comp = [left.pop(0)]
+        for a in comp:  # grows while iterating
+            joined = [b for b in left if comparable(a, b)]
+            comp += joined
+            left = [b for b in left if b not in joined]
+        hs = [bin(mask).count("1") for mask, _ in comp]
+        out.append((sorted(comp), g.n - min(hs), sum((-1) ** (g.n - h) for h in hs)))
+    return sorted(out)
 
 
 def _sub_table(rows, cols, comp):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gemkit
-from gemkit import format_gem, parse_gem
+from gemkit import format_gem, library, parse_gem
 from gemkit.cli import main
 from gemkit.library import q4, torus6
 
@@ -151,6 +151,46 @@ def test_group_output(q4_file):
     assert result.returncode == 0
     assert result.stdout.startswith("gen g0")
     assert "h1=0" in result.stdout
+
+
+_GROUP_FIXTURES = {
+    "k2(2)": lambda: library.k2(2),
+    "k2(3)": lambda: library.k2(3),
+    "k2(4)": lambda: library.k2(4),
+    "torus6": library.torus6,
+    "torus_interval": library.torus_interval,
+    "torus_disk": library.torus_disk,
+    "q4": library.q4,
+    "order4_nonbipartite(0)": lambda: library.order4_nonbipartite(0),
+    "order4_nonbipartite(1)": lambda: library.order4_nonbipartite(1),
+    "rp3": library.rp3,
+}
+_GROUP_PINNED = os.path.join(os.path.dirname(__file__), "group_outputs.txt")
+
+
+def test_group_outputs_pinned(tmp_path, capsys):
+    """`group` prints, byte for byte, the pinned presentation and H1 for
+    every library fixture, color and target whose hypothesis holds, and
+    exits 3 for every other one."""
+    with open(_GROUP_PINNED, encoding="utf-8") as fh:
+        blocks = fh.read().split("== ")[1:]
+    pinned = dict(block.split("\n", 1) for block in blocks)
+    ran = set()
+    for name, make in _GROUP_FIXTURES.items():
+        g = make()
+        path = tmp_path / "g.gem"
+        path.write_text(format_gem(g), encoding="utf-8")
+        for c in g.colors:
+            for target in ("m", "hatm", "cgroup"):
+                key = f"{name} {c} {target}"
+                rc = main(["group", "--color", str(c), "--target", target, str(path)])
+                out = capsys.readouterr().out
+                if key in pinned:
+                    assert (rc, out) == (0, pinned[key]), key
+                    ran.add(key)
+                else:
+                    assert rc == 3, key
+    assert ran == set(pinned)
 
 
 def test_group_hypothesis_violation_exit_code(t6_file, tmp_path):

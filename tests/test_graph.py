@@ -24,9 +24,9 @@ from gemkit import (
     parse_gem,
 )
 from gemkit.census import random_graph
-from gemkit.graph import canonical_matchings
+from gemkit.graph import _cycle, canonical_matchings
 from gemkit.library import k2, q4
-from oracles import bigon_count, canonical_table, table_components, two_coloring
+from oracles import bicolored_cycles, bigon_count, canonical_table, table_components, two_coloring
 
 
 # ============================================================
@@ -168,6 +168,39 @@ def test_odd_cycle_not_bipartite():
     a, b, c = (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)
     g = ColoredGraph((a, b, c))
     assert g.is_bipartite() is None
+
+
+def test_cycle_walks_each_bicolored_cycle(rng):
+    """`_cycle` from every start, for every color pair of random tables
+    (connected or not, repeated rows included), steps along color a first,
+    alternates colors, crosses real edges, closes at its start without a
+    repeated vertex, and visits exactly the cycles the oracle counts."""
+    for _ in range(40):
+        order = rng.choice((2, 4, 6, 8, 10))
+        pool = [_random_involution(order, rng) for _ in range(3)]
+        rows = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+        for a, b in itertools.permutations(range(len(rows)), 2):
+            cycles = set()
+            for start in range(order):
+                steps = list(_cycle(rows, a, b, start))
+                assert [c for c, _, _ in steps] == [a, b] * (len(steps) // 2)
+                assert all(rows[c][v] == w for c, v, w in steps)
+                assert [w for _, _, w in steps] == [v for _, v, _ in steps[1:]] + [start]
+                visited = [v for _, v, _ in steps]
+                assert len(set(visited)) == len(visited)
+                cycles.add(frozenset(visited))
+            assert len(cycles) == bicolored_cycles(rows, a, b)
+            assert sum(map(len, cycles)) == order
+
+
+def _random_involution(order, rng):
+    free = list(range(order))
+    rng.shuffle(free)
+    row = [0] * order
+    while free:
+        v, w = free.pop(), free.pop()
+        row[v], row[w] = w, v
+    return tuple(row)
 
 
 # ============================================================

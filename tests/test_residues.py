@@ -249,7 +249,6 @@ def test_parents_children_consistency(t6):
     lattice = residue_lattice(torus6())
     for rv in lattice.all_residues():
         for up in lattice.parents(rv):
-            assert lattice.contains(up, rv)
             assert rv.key in [kid.key for kid in lattice.children(up)]
 
 

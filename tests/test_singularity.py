@@ -46,7 +46,7 @@ from gemkit.library import (
     torus_disk,
     torus_interval,
 )
-from oracles import residue_classes, two_coloring
+from oracles import residue_classes, singular_components, two_coloring
 
 
 # ============================================================
@@ -300,6 +300,28 @@ def test_torus_disk_summary():
     comp = s.components[0]
     assert len(comp.top_residues) == 4
     assert len(comp.residues) == 8  # four walls joining four tops in a cycle
+
+
+def test_singular_summary_matches_comparability_oracle(fixtures_all):
+    """Joining singular residues along covers gives the components that
+    joining every comparable pair gives: members, dimension and Euler number,
+    on the fixtures, the n=4 order-6 census and random graphs with boundary."""
+    census = list(enumerate_census(CensusParams(4, 6)).graphs())
+    rng = random.Random(13)
+    drawn = [random_graph(rng.choice((3, 4, 5)), rng.choice((6, 8, 10)), rng) for _ in range(60)]
+    with_boundary = [g for g in drawn if g.classification.singular_views()]
+    assert len(with_boundary) >= 20
+    checked = 0
+    for g in fixtures_all + census + with_boundary:
+        if g.classification.unresolved:
+            continue
+        got = [
+            ([rv.key for rv in comp.residues], comp.dimension, comp.chi)
+            for comp in singular_summary(g).components
+        ]
+        assert got == singular_components(g)
+        checked += bool(got)
+    assert checked >= 30
 
 
 def test_manifold_flags():
