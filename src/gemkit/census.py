@@ -21,6 +21,21 @@ catalogue is unchanged byte for byte; only the labelings of extensions
 known to repeat a class are skipped.  Under color-preserving equivalence
 the orbits of a table are exactly its classes of extensions, so each class
 is labeled once per level.
+
+Under color-permuting equivalence a candidate is labeled only if its new
+color leads: its signature, the sorted cycle counts it forms with every
+other color, is the greatest of the candidate's, ties kept.  This loses no
+class.  Let c* be a leading color of a table C.  The class of C - c* is in
+the complete frontier as a table P, and C is P plus a recolored copy of
+c*'s matching; the orbit representative tried for it is isomorphic to C
+with c* as its new color, so it passes this test and the same filters.
+Ties are labeled and deduplicated like any candidate, so the frontier and
+the catalogue are unchanged.  Color-preserving equivalence fixes which
+color comes last, so there C - c* names no frontier class unless c* is
+the last color, and the test does not apply.
+
+A supercontracted census skips a last-level parent that is disconnected:
+each of its children is the parent again once its new color is dropped.
 """
 
 from __future__ import annotations
@@ -33,11 +48,14 @@ from .errors import BudgetExceededError, GemSyntaxError, UnresolvedResidueError
 from .graph import (
     ColoredGraph,
     Equivalence,
+    _color_signatures,
     _component,
     _component_table,
     _components,
     _find,
     _min_rooted_table,
+    _pair_components,
+    _pair_counts,
     _two_color,
     _union,
     canonical_matchings,
@@ -198,20 +216,34 @@ def _connected(matchings, order: int) -> bool:
     return len(_component(matchings, 0, [False] * order)) == order
 
 
+def _stays_connected(matchings, order: int, colors) -> bool:
+    """Whether the table stays connected with any one of `colors` dropped;
+    a raw-table walk that builds no lattice."""
+    return all(_connected(matchings[:c] + matchings[c + 1 :], order) for c in colors)
+
+
 def _keep_completed(matchings, order: int, params: CensusParams) -> bool:
     """Raw-table filters for fully colored candidates."""
     if params.supercontracted:
-        # connectivity of any drop-one table implies the full table's
-        for drop in range(len(matchings)):
-            kept = matchings[:drop] + matchings[drop + 1 :]
-            if not _connected(kept, order):
-                return False
+        # connectivity of any drop-one table implies the full table's; the
+        # table without the last color is the parent, which is connected
+        if not _stays_connected(matchings, order, range(len(matchings) - 1)):
+            return False
     elif not _connected(matchings, order):
         return False
     if params.bipartite is not None:
         if (_two_color(matchings) is not None) != params.bipartite:
             return False
     return True
+
+
+def _new_color_leads(cand, counts: list) -> bool:
+    """Whether the last color of `cand` has the greatest signature among its
+    colors, ties included; `counts` holds the pair counts of the others."""
+    k = len(counts)
+    new = [_pair_components(cand, c, k) for c in range(k)]
+    signatures = _color_signatures([row + [x] for row, x in zip(counts, new)] + [new + [0]])
+    return signatures[k] == max(signatures)
 
 
 def enumerate_census(params: CensusParams) -> Catalogue:
@@ -231,7 +263,10 @@ def enumerate_census(params: CensusParams) -> Catalogue:
         finishing = level == params.n
         seen: set = set()
         for partial in frontier:
+            if finishing and params.supercontracted and not _connected(partial, order):
+                continue  # every child loses connectivity when its new color is dropped
             roots = _orbit_roots(partial, involutions, index)
+            counts = _pair_counts(partial) if permuting else None
             for i, extra in enumerate(involutions):
                 if roots[i] != i:  # an automorphism of partial maps it to a kept one
                     continue
@@ -239,6 +274,8 @@ def enumerate_census(params: CensusParams) -> Catalogue:
                 # cheap isomorphism-invariant filters before canonicalizing
                 if finishing and not _keep_completed(cand, order, params):
                     continue
+                if permuting and not _new_color_leads(cand, counts):
+                    continue  # its class is also reached with a leading color as the new one
                 seen.add(canonical_matchings(cand, color_permuting=permuting))
         frontier = sorted(seen)
 
@@ -301,7 +338,11 @@ def format_catalogue(cat: Catalogue) -> str:
 def parse_catalogue(text: str) -> Catalogue:
     """Read a catalogue; its ``# count=`` footer must match the entries, so a
     truncated file is rejected rather than loaded short, and every entry must
-    be distinct and have the header's dimension and order."""
+    be distinct and have the header's dimension and order.
+
+    The header's parity and supercontracted filters are checked too, the
+    latter only when tagged.  ``no-ordinary-dipoles`` stays unchecked: it
+    would need sphere recognition of residues for every entry."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise GemSyntaxError("missing catalogue header")
@@ -347,6 +388,11 @@ def parse_catalogue(text: str) -> Catalogue:
             )
         if line in seen:
             raise GemSyntaxError(f"catalogue entry {line!r} appears twice")
+        if params.supercontracted and not _stays_connected(g.matchings, g.order, g.colors):
+            raise GemSyntaxError(
+                f"catalogue header filters {params.filter_tags()} but entry "
+                f"{line!r} is not supercontracted"
+            )
         seen.add(line)
     bip = sum(1 for g in graphs if g.is_bipartite() is not None)
     found = (len(graphs), bip, len(graphs) - bip)

@@ -404,25 +404,32 @@ def _pair_components(matchings: Matchings, i: int, j: int) -> int:
     return count
 
 
+def _pair_counts(matchings: Matchings) -> list:
+    """Square table of {i, j}-colored cycle counts, zero on the diagonal."""
+    k = len(matchings)
+    counts = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            counts[i][j] = counts[j][i] = _pair_components(matchings, i, j)
+    return counts
+
+
+def _color_signatures(counts: list) -> list:
+    """Each color's isomorphism-invariant signature, read off a table of
+    pair counts: the sorted cycle counts it forms with every other color."""
+    return [tuple(sorted(row[:c] + row[c + 1 :])) for c, row in enumerate(counts)]
+
+
 def _admissible_color_orders(matchings: Matchings):
     """Color orders worth trying when minimizing over recolorings.
 
-    Each color gets an isomorphism-invariant signature (the sorted cycle
-    counts it forms with every other color); only orders listing signatures
-    in their sorted sequence can attain the minimum, so the search shrinks
-    from (n+1)! to the product of the signature multiplicities' factorials.
+    Only orders listing the color signatures in their sorted sequence can
+    attain the minimum, so the search shrinks from (n+1)! to the product of
+    the signature multiplicities' factorials.
     """
-    k = len(matchings)
-    pair = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair[(i, j)] = pair[(j, i)] = _pair_components(matchings, i, j)
-    signature = {
-        c: tuple(sorted(pair[(c, d)] for d in range(k) if d != c)) for c in range(k)
-    }
     groups: dict = {}
-    for c in range(k):
-        groups.setdefault(signature[c], []).append(c)
+    for c, signature in enumerate(_color_signatures(_pair_counts(matchings))):
+        groups.setdefault(signature, []).append(c)
     ordered_groups = [groups[sig] for sig in sorted(groups)]
     for parts in itertools.product(
         *(itertools.permutations(group) for group in ordered_groups)

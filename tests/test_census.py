@@ -90,7 +90,7 @@ def test_completeness_against_brute_force(equivalence):
     requested equivalence."""
     permuting = equivalence is Equivalence.COLOR_PERMUTING
     for (n, order), filters in itertools.product(
-        [(2, 4), (3, 4), (2, 6)],
+        [(2, 4), (3, 4), (2, 6), (3, 6)],
         [{}, {"supercontracted": True}, {"bipartite": True}, {"bipartite": False}],
     ):
         got = enumerate_census(CensusParams(n=n, order=order, equivalence=equivalence, **filters))
@@ -176,13 +176,28 @@ def test_labelings_one_per_class_when_preserving(monkeypatch):
 
 def test_labelings_pinned_when_permuting(monkeypatch):
     """Color-permuting equivalence merges classes that the color-preserving
-    automorphisms do not, so the last level labels more tables than it
-    keeps (266); extending by every involution labeled 3651."""
+    automorphisms do not, so a level labels more tables than it keeps (52
+    for 31 frontier classes, 589 for 266 catalogue entries) even though a
+    candidate is labeled only when its new color has the greatest
+    signature.  Without that test the levels labeled 5, 86 and 1310;
+    extending by every involution labeled 3651 at the last level."""
     assert _labelings_per_level(monkeypatch, CensusParams(n=3, order=8)) == {
         2: 5,
-        3: 86,
-        4: 1310,
+        3: 52,
+        4: 589,
     }
+
+
+def test_disconnected_parents_skipped_when_supercontracted(monkeypatch):
+    """Of the 86 three-color frontier classes, the supercontracted census
+    extends only the 60 connected ones: a child of a disconnected parent is
+    disconnected once its new color is dropped."""
+    params = CensusParams(
+        n=3, order=8, supercontracted=True, equivalence=Equivalence.COLOR_PRESERVING
+    )
+    last = [t for t in _extended_tables(monkeypatch, params) if len(t) == 3]
+    assert len(last) == 60
+    assert all(len(table_components(t, 8)) == 1 for t in last)
 
 
 def test_enumerate_deterministic():
@@ -420,6 +435,14 @@ def _repeat_first_entry(text):
     )
 
 
+def _tag_plain_census_supercontracted(text):
+    """The census without the supercontracted filter, relabelled with it:
+    8 of its 47 entries are not supercontracted.  The edited text is unused."""
+    del text
+    plain = format_catalogue(enumerate_census(CensusParams(n=4, order=6)))
+    return plain.replace("filters=connected", "filters=connected,supercontracted", 1)
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -433,9 +456,10 @@ def _repeat_first_entry(text):
         # the census holds 31 non-bipartite entries, which the filter excludes
         (lambda text: text.replace("supercontracted", "supercontracted,bipartite", 1),
          "counts entries the filter excludes"),
+        (_tag_plain_census_supercontracted, "is not supercontracted"),
     ],
     ids=["header-n", "header-order", "repeated-entry", "unknown-filter", "both-parities",
-         "parity-filter"],
+         "parity-filter", "supercontracted-filter"],
 )
 def test_catalogue_entries_checked(edit, match):
     from gemkit import GemSyntaxError

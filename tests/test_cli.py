@@ -265,6 +265,22 @@ def test_report_catalogue_header_mismatch_is_input_error(tmp_path):
     assert result.stdout == ""
 
 
+def test_report_catalogue_not_supercontracted_is_input_error(tmp_path):
+    """A plain order-6 census tagged supercontracted holds 8 entries the
+    filter excludes, so it is refused rather than reported."""
+    cat_file = tmp_path / "o6.cat"
+    run_cli("enumerate", "--n", "4", "--order", "6", "-o", str(cat_file))
+    text = cat_file.read_text(encoding="utf-8")
+    cat_file.write_text(
+        text.replace("filters=connected", "filters=connected,supercontracted", 1),
+        encoding="utf-8",
+    )
+    result = run_cli("report", str(cat_file))
+    assert result.returncode == 2
+    assert "is not supercontracted" in result.stderr
+    assert result.stdout == ""
+
+
 def test_export_dot(q4_file):
     result = run_cli("export-dot", q4_file)
     assert result.returncode == 0
