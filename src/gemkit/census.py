@@ -82,11 +82,13 @@ class CensusParams:
     supercontracted: bool = False
     no_ordinary_dipoles: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:  # a catalogue header is held to these too
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.order < 2 or self.order % 2:
             raise ValueError("order must be even and >= 2")
+
+    def validate(self) -> None:
         max_n, max_order = DEFAULT_BUDGET
         if self.n > max_n or self.order > max_order:
             raise BudgetExceededError(
@@ -338,7 +340,7 @@ def format_catalogue(cat: Catalogue) -> str:
 def parse_catalogue(text: str) -> Catalogue:
     """Read a catalogue; its ``# count=`` footer must match the entries, so a
     truncated file is rejected rather than loaded short, and every entry must
-    be distinct and have the header's dimension and order.
+    be distinct and have the header's dimension and order (n >= 1, even order).
 
     The header's parity and supercontracted filters are checked too, the
     latter only when tagged.  ``no-ordinary-dipoles`` stays unchecked: it

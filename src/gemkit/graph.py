@@ -343,20 +343,36 @@ def _component_table(matchings: Matchings, comp: Sequence[int]) -> Matchings:
     return tuple(tuple(index[row[v]] for v in comp) for row in matchings)
 
 
+def _stack(tables: Sequence[Matchings]) -> Matchings:
+    """The disjoint union of tables on one color set, each table's vertices
+    numbered after those of the tables before it."""
+    stacked = []
+    for c in range(len(tables[0])):
+        row: list = []
+        for table in tables:
+            offset = len(row)
+            row.extend(x + offset for x in table[c])
+        stacked.append(tuple(row))
+    return tuple(stacked)
+
+
+def _switch(matchings: Sequence, v: int, w: int, colors: Iterable[int]) -> list:
+    """The rows with each given color's edges at v and w traded for v-w and
+    the edge joining their old ends; a color joining v and w stays as it is."""
+    rows = list(matchings)
+    for c in colors:
+        row = rows[c] = list(rows[c])
+        a, b = row[v], row[w]
+        row[v], row[w], row[a], row[b] = w, v, b, a
+    return rows
+
+
 def _canon_split(matchings: Matchings, comps: list) -> Matchings:
     """Canonicalize each component on its own, sort by (size, table), and
     re-stack the parts block by block."""
     parts = [_min_rooted_table(_component_table(matchings, comp)) for comp in comps]
     parts.sort(key=lambda t: (len(t[0]), t))
-    stacked = []
-    for c in range(len(matchings)):
-        row: list = []
-        offset = 0
-        for part in parts:
-            row.extend(x + offset for x in part[c])
-            offset += len(part[c])
-        stacked.append(tuple(row))
-    return tuple(stacked)
+    return _stack(parts)
 
 
 def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> Matchings:

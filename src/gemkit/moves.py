@@ -9,7 +9,8 @@ pair and yields the residue whose sphere test certifies it.  `dipole_sites`
 keeps the separated pairs, and `find_dipoles` labels them from the graph's
 residue classification.  `simplify` runs `singularity.cancel_certified`, the
 greedy loop sphere recognition also reduces by, which tries one pair at a
-time through `certified_site`.
+time through `certified_site`.  Cancellation, insertion and connected sum
+are each one 2-switch, `graph._switch`, the last on two `_stack`ed graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     UnresolvedResidueError,
     WouldAnnihilateError,
 )
-from .graph import ColoredGraph
+from .graph import ColoredGraph, _component_table, _stack, _switch
 from .residues import colors_of, complement, mask_of
 from .residues import cancel_site, dipole_side, joined_colors, joined_pairs  # re-exported
 from .singularity import ResidueClass, cancel_certified, is_singular_manifold
@@ -103,19 +104,8 @@ def add_dipole(g: ColoredGraph, vertex: int, colors: Iterable[int]) -> ColoredGr
     if not 1 <= len(cols) <= g.n:
         raise ValueError(f"a dipole uses between 1 and {g.n} colors, got {len(cols)}")
     near, far = g.order, g.order + 1
-    rows = []
-    for c in g.colors:
-        row = list(g.matchings[c]) + [0, 0]
-        if c in cols:
-            row[near], row[far] = far, near
-        else:
-            old = g.matchings[c][vertex]
-            row[vertex] = near
-            row[near] = vertex
-            row[far] = old
-            row[old] = far
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
+    rows = [row + (far, near) for row in g.matchings]
+    return ColoredGraph(_switch(rows, near, vertex, colors_of(complement(mask, g.n))))
 
 
 def suspend(g: ColoredGraph, c: int) -> ColoredGraph:
@@ -136,22 +126,10 @@ def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> Color
         raise InvalidVertexError(f"vertex {v1} outside g1")
     if not 0 <= v2 < g2.order:
         raise InvalidVertexError(f"vertex {v2} outside g2")
-    keep1 = [u for u in g1.vertices if u != v1]
-    keep2 = [u for u in g2.vertices if u != v2]
-    idx1 = {u: i for i, u in enumerate(keep1)}
-    idx2 = {u: len(keep1) + i for i, u in enumerate(keep2)}
-    rows = []
-    for c in g1.colors:
-        row = [0] * (len(keep1) + len(keep2))
-        a, b = g1.matchings[c][v1], g2.matchings[c][v2]
-        for u in keep1:
-            x = g1.matchings[c][u]
-            row[idx1[u]] = idx2[b] if x == v1 else idx1[x]
-        for u in keep2:
-            x = g2.matchings[c][u]
-            row[idx2[u]] = idx1[a] if x == v2 else idx2[x]
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
+    w = g1.order + v2  # v2 in the stacked table
+    rows = _switch(_stack((g1.matchings, g2.matchings)), v1, w, g1.colors)
+    keep = [u for u in range(g1.order + g2.order) if u not in (v1, w)]
+    return ColoredGraph(_component_table(rows, keep))
 
 
 # ============================================================

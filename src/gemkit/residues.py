@@ -7,7 +7,8 @@ residues under containment drives every topological computation downstream.
 A dipole is a pair of vertices joined by 1..n colors and separated by the
 residue on the other colors; finding and cancelling one needs no topology,
 so it lives here, below `singularity`, whose sphere recognition reduces by
-it, and `moves`, which re-exports it.
+it, and `moves`, which re-exports it.  Cancelling is one 2-switch,
+`graph._switch`, as are insertion and connected sum in `moves`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import ColorRangeError
-from .graph import ColoredGraph, Matchings, _component_table, _components
+from .graph import ColoredGraph, Matchings, _component_table, _components, _switch
 
 ResidueKey = tuple  # (mask, minimum vertex)
 
@@ -83,7 +84,7 @@ class ResidueView:
     @property
     def h(self) -> int:
         """Number of colors in the residue."""
-        return len(self.colors)
+        return bin(self.mask).count("1")
 
     @property
     def key(self) -> ResidueKey:
@@ -279,25 +280,8 @@ def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optio
 
 
 def cancel_site(g: ColoredGraph, v: int, w: int) -> ColoredGraph:
-    """Remove the dipole at (v, w): delete both vertices and weld the hanging
-    edges color by color.  Callers must have checked the site."""
-    cols = joined_colors(g, v, w)
+    """Remove the dipole at (v, w): a 2-switch on every color cuts {v, w}
+    off, and it is dropped.  Callers must have checked the site."""
+    rows = _switch(g.matchings, v, w, g.colors)
     keep = [u for u in g.vertices if u not in (v, w)]
-    index = {u: i for i, u in enumerate(keep)}
-    rows = []
-    for c in g.colors:
-        row = [0] * len(keep)
-        if c in cols:
-            for u in keep:
-                row[index[u]] = index[g.matchings[c][u]]
-        else:
-            a, b = g.matchings[c][v], g.matchings[c][w]
-            for u in keep:
-                x = g.matchings[c][u]
-                if x == v:
-                    x = b  # u is a; weld its edge through the pair to b
-                elif x == w:
-                    x = a
-                row[index[u]] = index[x]
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
+    return ColoredGraph(_component_table(rows, keep))

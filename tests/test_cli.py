@@ -281,6 +281,22 @@ def test_report_catalogue_not_supercontracted_is_input_error(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("n, order", [("-3", "5"), ("0", "2"), ("3", "0"), ("3", "7")])
+def test_report_catalogue_bad_shape_is_input_error(tmp_path, n, order):
+    """A header naming no graph shape is refused, even with no entries to
+    contradict it."""
+    cat_file = tmp_path / "bad.cat"
+    cat_file.write_text(
+        f"# gemkit-census v1 n={n} order={order} eq=color-permuting filters=connected\n"
+        "# count=0 bipartite=0 nonbipartite=0\n",
+        encoding="utf-8",
+    )
+    result = run_cli("report", str(cat_file))
+    assert result.returncode == 2
+    assert "bad catalogue header" in result.stderr
+    assert result.stdout == ""
+
+
 def test_export_dot(q4_file):
     result = run_cli("export-dot", q4_file)
     assert result.returncode == 0

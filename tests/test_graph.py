@@ -24,7 +24,7 @@ from gemkit import (
     parse_gem,
 )
 from gemkit.census import random_graph
-from gemkit.graph import _cycle, canonical_matchings
+from gemkit.graph import _cycle, _switch, canonical_matchings
 from gemkit.library import k2, q4
 from oracles import bicolored_cycles, bigon_count, canonical_table, table_components, two_coloring
 
@@ -191,6 +191,23 @@ def test_cycle_walks_each_bicolored_cycle(rng):
                 cycles.add(frozenset(visited))
             assert len(cycles) == bicolored_cycles(rows, a, b)
             assert sum(map(len, cycles)) == order
+
+
+def test_switch_keeps_joining_colors_and_isolates_the_pair(rng):
+    """`_switch` at v and w leaves a color already joining them as it is;
+    switched on every color, it keeps each row a fixed-point-free
+    involution and makes {v, w} a component of order two.  Dipole
+    cancellation rests on both facts."""
+    for _ in range(40):
+        order = rng.choice((2, 4, 6, 8, 10))
+        rows = tuple(_random_involution(order, rng) for _ in range(rng.randint(2, 5)))
+        v, w = rng.sample(range(order), 2)
+        joined = [c for c, row in enumerate(rows) if row[v] == w]
+        assert [tuple(row) for row in _switch(rows, v, w, joined)] == list(rows)
+        switched = _switch(rows, v, w, range(len(rows)))
+        assert all(row[row[u]] == u != row[u] for row in switched for u in range(order))
+        assert all(row[v] == w for row in switched)
+        assert (min(v, w), max(v, w)) in table_components(switched, order)
 
 
 def _random_involution(order, rng):

@@ -1,5 +1,6 @@
 """Dipole moves, suspension, connected sums, vertex indices, simplify."""
 
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from gemkit import (
     connected_sum,
     find_dipoles,
     fingerprint,
+    format_code_line,
     h1_manifold,
     inflate,
     internalize,
@@ -34,6 +36,7 @@ from gemkit import (
 )
 from gemkit.census import random_graph
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
+from gemkit.moves import cancel_site, dipole_sites
 from oracles import simplify_by_reclassification
 
 
@@ -479,3 +482,31 @@ def test_simplify_classifies_the_graph_once(monkeypatch):
     res = simplify(inflate(k2(4), 25, random.Random(3)))
     assert res.complete and res.graph.order == 2
     assert len(calls) <= 1
+
+
+# ============================================================
+# Surgery output, byte for byte
+# ============================================================
+
+
+def test_surgery_bytes_pinned():
+    """Dipole insertion, dipole cancellation, connected sum and `simplify`
+    number the vertices of their output in a fixed way; the isomorphism
+    checks above would not see a change of that numbering, this digest
+    does."""
+    rng = random.Random(15)
+    bases = [k2(1), k2(3), rp3(), torus6(), q4(), torus_disk()]
+    bases += [random_graph(n, order, rng) for n in (1, 2, 3, 4, 5) for order in (4, 6, 8)]
+    out = []
+    for base in bases:
+        grown = inflate(base, 12, rng)
+        out.append(format_code_line(grown))
+        out += [format_code_line(cancel_site(grown, v, w)) for v, w, _ in dipole_sites(grown)]
+        other = inflate(base, 2, rng)
+        v1, v2 = rng.randrange(grown.order), rng.randrange(other.order)
+        out.append(format_code_line(connected_sum(grown, v1, other, v2)))
+        res = simplify(grown)
+        out.append(format_code_line(res.graph))
+        out += [f"{d.vertices} {d.colors}" for d in res.cancelled]
+    text = "\n".join(out)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5326ba913c75aa39"
