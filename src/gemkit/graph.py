@@ -356,15 +356,14 @@ def _stack(tables: Sequence[Matchings]) -> Matchings:
     return tuple(stacked)
 
 
-def _switch(matchings: Sequence, v: int, w: int, colors: Iterable[int]) -> list:
-    """The rows with each given color's edges at v and w traded for v-w and
-    the edge joining their old ends; a color joining v and w stays as it is."""
-    rows = list(matchings)
+def _switch(rows: Sequence[list], v: int, w: int, colors: Iterable[int]) -> None:
+    """Trade each given color's edges at v and w for v-w and the edge
+    joining their old ends, in the mutable rows themselves; a color joining
+    v and w stays as it is."""
     for c in colors:
-        row = rows[c] = list(rows[c])
+        row = rows[c]
         a, b = row[v], row[w]
         row[v], row[w], row[a], row[b] = w, v, b, a
-    return rows
 
 
 def _canon_split(matchings: Matchings, comps: list) -> Matchings:

@@ -9,8 +9,10 @@ pair and yields the residue whose sphere test certifies it.  `dipole_sites`
 keeps the separated pairs, and `find_dipoles` labels them from the graph's
 residue classification.  `simplify` runs `singularity.cancel_certified`, the
 greedy loop sphere recognition also reduces by, which tries one pair at a
-time through `certified_site`.  Cancellation, insertion and connected sum
+time in `certified_site`'s order.  Cancellation, insertion and connected sum
 are each one 2-switch, `graph._switch`, the last on two `_stack`ed graphs.
+A chain of moves, `simplify`'s cancellations or `inflate`'s insertions,
+switches one mutable table in place and builds one graph at its end.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Dipole:
 
 def dipole_sites(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
     """All (v, w, colors) dipole sites, v < w, in vertex order."""
-    return [site for site in joined_pairs(g) if dipole_side(g, *site) is not None]
+    return [site for site in joined_pairs(g) if dipole_side(g.matchings, *site) is not None]
 
 
 def cancel_dipole(g: ColoredGraph, d: Dipole) -> ColoredGraph:
@@ -80,7 +82,7 @@ def cancel_dipole(g: ColoredGraph, d: Dipole) -> ColoredGraph:
     cols = joined_colors(g, v, w)
     if cols != tuple(sorted(d.colors)):
         raise NotADipoleError(f"pair {d.vertices} joined by {cols}, not {d.colors}")
-    if dipole_side(g, v, w, cols) is None:
+    if dipole_side(g.matchings, v, w, cols) is None:
         raise NotADipoleError(f"pair {d.vertices} shares its complement residue")
     return cancel_site(g, v, w)
 
@@ -103,9 +105,18 @@ def add_dipole(g: ColoredGraph, vertex: int, colors: Iterable[int]) -> ColoredGr
         g.check_color(c)
     if not 1 <= len(cols) <= g.n:
         raise ValueError(f"a dipole uses between 1 and {g.n} colors, got {len(cols)}")
-    near, far = g.order, g.order + 1
-    rows = [row + (far, near) for row in g.matchings]
-    return ColoredGraph(_switch(rows, near, vertex, colors_of(complement(mask, g.n))))
+    rows = [list(row) for row in g.matchings]
+    _insert_pair(rows, vertex, colors_of(complement(mask, g.n)))
+    return ColoredGraph(rows)
+
+
+def _insert_pair(rows: list, vertex: int, others) -> None:
+    """Append a pair joined by every color to the mutable rows, then
+    2-switch its first vertex with `vertex` on the colors `others`."""
+    near = len(rows[0])
+    for row in rows:
+        row += (near + 1, near)
+    _switch(rows, near, vertex, others)
 
 
 def suspend(g: ColoredGraph, c: int) -> ColoredGraph:
@@ -127,7 +138,8 @@ def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> Color
     if not 0 <= v2 < g2.order:
         raise InvalidVertexError(f"vertex {v2} outside g2")
     w = g1.order + v2  # v2 in the stacked table
-    rows = _switch(_stack((g1.matchings, g2.matchings)), v1, w, g1.colors)
+    rows = [list(row) for row in _stack((g1.matchings, g2.matchings))]
+    _switch(rows, v1, w, g1.colors)
     keep = [u for u in range(g1.order + g2.order) if u not in (v1, w)]
     return ColoredGraph(_component_table(rows, keep))
 
@@ -252,11 +264,17 @@ def simplify(g: ColoredGraph) -> SimplifyResult:
 
 
 def inflate(g: ColoredGraph, k: int, rng: random.Random) -> ColoredGraph:
-    """Add k random proper dipoles; inverse moves of `simplify` for tests."""
-    cur = g
+    """Add k random proper dipoles; inverse moves of `simplify` for tests.
+
+    The same draws and insertions as k `add_dipole` calls, made on one
+    mutable table; one graph is built from it, or g itself when k is 0."""
+    if k == 0:
+        return g
+    n = g.n
+    rows = [list(row) for row in g.matchings]
     for _ in range(k):
-        vertex = rng.randrange(cur.order)
-        h = rng.randint(1, cur.n)
-        cols = rng.sample(range(cur.n + 1), h)
-        cur = add_dipole(cur, vertex, cols)
-    return cur
+        vertex = rng.randrange(len(rows[0]))
+        h = rng.randint(1, n)
+        cols = rng.sample(range(n + 1), h)
+        _insert_pair(rows, vertex, colors_of(complement(mask_of(cols), n)))
+    return ColoredGraph(rows)

@@ -8,13 +8,17 @@ A dipole is a pair of vertices joined by 1..n colors and separated by the
 residue on the other colors; finding and cancelling one needs no topology,
 so it lives here, below `singularity`, whose sphere recognition reduces by
 it, and `moves`, which re-exports it.  Cancelling is one 2-switch,
-`graph._switch`, as are insertion and connected sum in `moves`.
+`graph._switch`, as are insertion and connected sum in `moves`.  A chain
+of cancellations runs on one mutable table: `_site_buckets` holds the
+joined pairs by color count, and `_cancel_in_place` switches a pair off and
+patches only the pairs around it.  No view or graph keeps such a table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ColorRangeError
 from .graph import ColoredGraph, Matchings, _component_table, _components, _switch
@@ -249,22 +253,74 @@ def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
     return tuple(c for c in g.colors if g.matchings[c][v] == w)
 
 
+def _partners(rows: Sequence, v: int) -> dict[int, tuple[int, ...]]:
+    """Each neighbour of v, mapped to the colors joining it to v, from one
+    scan of v's entries in the rows."""
+    joined: dict = {}
+    for c, row in enumerate(rows):
+        w = row[v]
+        joined[w] = joined.get(w, ()) + (c,)
+    return joined
+
+
 def joined_pairs(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
     """Every (v, w, colors) with v < w joined by 1..n colors, in vertex order:
     the candidate dipole sites, before the separation test."""
+    rows, n = g.matchings, g.n
     return [
         (v, w, cols)
         for v in g.vertices
-        for w in sorted({row[v] for row in g.matchings})
-        if w > v and len(cols := joined_colors(g, v, w)) <= g.n
+        for w, cols in sorted(_partners(rows, v).items())
+        if w > v and len(cols) <= n
     ]
 
 
-def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:
+def _pairs_at(rows: Sequence, vertices: Iterable[int]) -> set:
+    """The (v, w, colors) with v < w joined by 1..n colors that have an end
+    among `vertices`."""
+    n = len(rows) - 1
+    return {
+        (min(u, x), max(u, x), cols)
+        for u in vertices
+        for x, cols in _partners(rows, u).items()
+        if len(cols) <= n
+    }
+
+
+def _site_buckets(g: ColoredGraph) -> list[list]:
+    """`joined_pairs` split by color count: entry h lists the pairs joined by
+    h colors, sorted by (v, w); entry 0 stays empty."""
+    buckets: list = [[] for _ in g.colors]
+    for site in joined_pairs(g):
+        buckets[len(site[2])].append(site)
+    return buckets
+
+
+def _cancel_in_place(rows: list, buckets: list, v: int, w: int) -> None:
+    """Cancel the dipole at (v, w) in mutable rows kept in stable vertex
+    ids, patching `_site_buckets`-style buckets to match.  The 2-switch on
+    every color joins v to w by all of them and cuts the pair off; only the
+    pairs at v, w and their old neighbours change, and the pair itself
+    leaves the buckets.  Callers must have checked the site."""
+    touched = {v, w}
+    for row in rows:
+        touched.add(row[v])
+        touched.add(row[w])
+    for site in _pairs_at(rows, touched):
+        bucket = buckets[len(site[2])]
+        del bucket[bisect_left(bucket, site)]
+    _switch(rows, v, w, range(len(rows)))
+    touched -= {v, w}
+    for site in _pairs_at(rows, touched):
+        insort(buckets[len(site[2])], site)
+
+
+def dipole_side(rows: Sequence, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:
     """The vertices of the residue through v on the colors outside `cols`,
-    or None as soon as the walk meets w: (v, w) is then no dipole.  A walk
-    of its own, not `_component`'s, for that early exit."""
-    rows = [g.matchings[c] for c in g.colors if c not in cols]
+    or None as soon as the walk meets w: (v, w) is then no dipole.  Reads
+    the matching `rows` of a graph or of a reduction's mutable table.  A
+    walk of its own, not `_component`'s, for that early exit."""
+    rows = [row for c, row in enumerate(rows) if c not in cols]
     seen = {v}
     stack = [v]
     while stack:
@@ -282,6 +338,7 @@ def dipole_side(g: ColoredGraph, v: int, w: int, cols: tuple[int, ...]) -> Optio
 def cancel_site(g: ColoredGraph, v: int, w: int) -> ColoredGraph:
     """Remove the dipole at (v, w): a 2-switch on every color cuts {v, w}
     off, and it is dropped.  Callers must have checked the site."""
-    rows = _switch(g.matchings, v, w, g.colors)
+    rows = [list(row) for row in g.matchings]
+    _switch(rows, v, w, g.colors)
     keep = [u for u in g.vertices if u not in (v, w)]
     return ColoredGraph(_component_table(rows, keep))

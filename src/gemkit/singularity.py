@@ -13,23 +13,24 @@ that pass every cheap test are rebuilt as graphs for a reduction and H1.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import UnresolvedResidueError
-from .graph import ColoredGraph, _cycle, _find, _two_color, _union
+from .graph import ColoredGraph, _component_table, _cycle, _find, _two_color, _union
 from .groups import AbelianInvariants, h1_from_rows
 from .residues import (
     ResidueLattice,
     ResidueView,
-    cancel_site,
+    _cancel_in_place,
+    _site_buckets,
     colors_of,
     complement,
     dipole_side,
     full_mask,
-    joined_pairs,
     mask_of,
 )
 
@@ -129,16 +130,31 @@ def _reduce(g: ColoredGraph, step_limit: Optional[int]) -> SphereStatus:
 def cancel_certified(g: ColoredGraph, step_limit: Optional[int] = None) -> tuple[ColoredGraph, list]:
     """Cancel the site `certified_site` picks until none is left or
     `step_limit` sites are cancelled; the last graph and the sites, in
-    order.  Sites are cancelled unchecked: each was certified on the same
-    immutable graph."""
+    order, each numbered as in the graph it was cancelled from.
+
+    The moves run on one mutable table in stable vertex ids, with the
+    joined pairs kept in `_site_buckets` and patched around each cancelled
+    pair; the certification scan is `certified_site`'s own.  A vertex's id
+    in a step's graph is its stable id less the cancelled ids below it,
+    which keeps the scan order.  One graph is built, from the final table;
+    if nothing is cancelled it is g itself."""
+    rows = [list(row) for row in g.matchings]
+    buckets = _site_buckets(g)
+    removed: list = []  # stable ids cancelled so far, sorted
     sites = []
     while step_limit is None or len(sites) < step_limit:
-        site = certified_site(g, step_limit)
+        site = _first_certified(rows, buckets, step_limit)
         if site is None:
             break
-        g = cancel_site(g, site[0], site[1])
-        sites.append(site)
-    return g, sites
+        v, w, cols = site
+        _cancel_in_place(rows, buckets, v, w)
+        sites.append((v - bisect(removed, v), w - bisect(removed, w), cols))
+        insort(removed, v)
+        insort(removed, w)
+    if not sites:
+        return g, sites
+    dead = set(removed)
+    return ColoredGraph(_component_table(rows, [u for u in g.vertices if u not in dead])), sites
 
 
 def certified_site(
@@ -154,19 +170,30 @@ def certified_site(
     joined pair is walked only when its turn comes, and the walk that puts
     w outside v's residue is the residue then recognized.
     """
-    for v, w, cols in sorted(joined_pairs(g), key=lambda s: (-len(s[2]), s[0], s[1])):
-        side = dipole_side(g, v, w, cols)
-        if side is not None and (
-            len(cols) >= g.n - 1
-            or _is_sphere(g, cols, side, step_limit)
-            or _is_sphere(g, cols, dipole_side(g, w, v, cols), step_limit)
-        ):
-            return (v, w, cols)
+    return _first_certified(g.matchings, _site_buckets(g), step_limit)
+
+
+def _first_certified(rows, buckets: list, step_limit: Optional[int]):
+    """`certified_site`'s scan over `_site_buckets`-style buckets of the
+    matching `rows`, a graph's or a reduction's mutable table."""
+    n = len(rows) - 1
+    for h in range(n, 0, -1):
+        for v, w, cols in buckets[h]:
+            side = dipole_side(rows, v, w, cols)
+            if side is not None and (
+                h >= n - 1
+                or _is_sphere(rows, cols, side, step_limit)
+                or _is_sphere(rows, cols, dipole_side(rows, w, v, cols), step_limit)
+            ):
+                return (v, w, cols)
     return None
 
 
-def _is_sphere(g: ColoredGraph, cols, side, step_limit: Optional[int]) -> bool:
-    rv = ResidueView(g.matchings, complement(mask_of(cols), g.n), tuple(sorted(side)))
+def _is_sphere(rows, cols, side, step_limit: Optional[int]) -> bool:
+    """Whether the residue on the colors outside `cols` spanning `side` is
+    a sphere; the view on `rows` becomes a graph at once, so no view keeps
+    a reduction's mutable table."""
+    rv = ResidueView(rows, complement(mask_of(cols), len(rows) - 1), tuple(sorted(side)))
     return sphere_status(rv.as_graph(), step_limit).verdict is Verdict.SPHERE
 
 

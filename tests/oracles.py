@@ -3,9 +3,10 @@
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, canonical tables by exhaustive minimization without pruning,
-automorphisms by trying every vertex permutation, residue classes and
-bigon tables from each residue's own subgraph, singular-set components by
-joining every comparable pair of singular residues.
+automorphisms by trying every vertex permutation, joined pairs by trying
+every vertex pair and color, residue classes and bigon tables from each
+residue's own subgraph, singular-set components by joining every
+comparable pair of singular residues.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -57,6 +58,17 @@ def minor_gcd_invariant_factors(rows, width):
 
 def union_find_components(g, cols):
     return table_components([g.matchings[c] for c in cols], g.order)
+
+
+def joined_pairs_by_brute_force(rows, vertices):
+    """Every (v, w, colors) with v < w among `vertices` joined by at least
+    one color and not by all of them, each pair and color tried in turn."""
+    out = []
+    for v, w in itertools.combinations(sorted(vertices), 2):
+        cols = tuple(c for c, row in enumerate(rows) if row[v] == w)
+        if 1 <= len(cols) < len(rows):
+            out.append((v, w, cols))
+    return out
 
 
 def table_components(rows, order):

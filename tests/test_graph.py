@@ -194,8 +194,8 @@ def test_cycle_walks_each_bicolored_cycle(rng):
 
 
 def test_switch_keeps_joining_colors_and_isolates_the_pair(rng):
-    """`_switch` at v and w leaves a color already joining them as it is;
-    switched on every color, it keeps each row a fixed-point-free
+    """`_switch` at v and w, in place, leaves a color already joining them
+    as it is; switched on every color, it keeps each row a fixed-point-free
     involution and makes {v, w} a component of order two.  Dipole
     cancellation rests on both facts."""
     for _ in range(40):
@@ -203,8 +203,11 @@ def test_switch_keeps_joining_colors_and_isolates_the_pair(rng):
         rows = tuple(_random_involution(order, rng) for _ in range(rng.randint(2, 5)))
         v, w = rng.sample(range(order), 2)
         joined = [c for c, row in enumerate(rows) if row[v] == w]
-        assert [tuple(row) for row in _switch(rows, v, w, joined)] == list(rows)
-        switched = _switch(rows, v, w, range(len(rows)))
+        kept = [list(row) for row in rows]
+        _switch(kept, v, w, joined)
+        assert [tuple(row) for row in kept] == list(rows)
+        switched = [list(row) for row in rows]
+        _switch(switched, v, w, range(len(rows)))
         assert all(row[row[u]] == u != row[u] for row in switched for u in range(order))
         assert all(row[v] == w for row in switched)
         assert (min(v, w), max(v, w)) in table_components(switched, order)

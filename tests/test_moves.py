@@ -37,6 +37,7 @@ from gemkit import (
 from gemkit.census import random_graph
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
 from gemkit.moves import cancel_site, dipole_sites
+from gemkit.singularity import cancel_certified, certified_site
 from oracles import simplify_by_reclassification
 
 
@@ -482,6 +483,102 @@ def test_simplify_classifies_the_graph_once(monkeypatch):
     res = simplify(inflate(k2(4), 25, random.Random(3)))
     assert res.complete and res.graph.order == 2
     assert len(calls) <= 1
+
+
+# ============================================================
+# Move chains on one mutable table
+# ============================================================
+
+
+def test_reduction_replays_through_validated_cancellations(sphere8):
+    """`cancel_certified` and `simplify` cancel on one mutable table and
+    build no graph in between.  Replaying each reported site with the
+    validated `cancel_dipole` on immutable graphs gives the same graphs
+    byte for byte, each site is the one `certified_site` picks on the
+    graph it is cancelled from, and `step_limit=j` stops after the first j."""
+    bases = [k2(3), rp3(), torus_interval(), k2(4), q4(), order4_nonbipartite(0), torus_disk(), sphere8]
+    for base in bases:
+        for seed in (1, 2):
+            g = inflate(base, 12, random.Random(seed))
+            final, sites = cancel_certified(g)
+            assert sites
+            cur = g
+            for j, (v, w, cols) in enumerate(sites):
+                assert cancel_certified(g, step_limit=j) == (cur, sites[:j])
+                assert certified_site(cur) == (v, w, cols)
+                cur = cancel_dipole(cur, Dipole((v, w), cols))
+            assert certified_site(cur) is None
+            assert cur.matchings == final.matchings
+            res = simplify(g)
+            assert res.graph.matchings == final.matchings
+            assert [(d.vertices, d.colors) for d in res.cancelled] == [
+                ((v, w), cols) for v, w, cols in sites
+            ]
+
+
+def test_inflate_replays_through_add_dipole():
+    """`inflate` makes its insertions on one table; `add_dipole` on
+    immutable graphs, from the same draws, gives the same graph."""
+    for base in (k2(1), k2(3), rp3(), torus6(), q4(), torus_disk()):
+        for seed in range(3):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = inflate(base, 15, got_rng)
+            cur = base
+            for _ in range(15):
+                vertex = want_rng.randrange(cur.order)
+                h = want_rng.randint(1, cur.n)
+                cur = add_dipole(cur, vertex, want_rng.sample(range(cur.n + 1), h))
+            assert got.matchings == cur.matchings
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_move_chains_validate_one_graph(monkeypatch):
+    """A chain of moves builds one graph at its end, not one per move:
+    `inflate` validates once, and `simplify` validates as often after 200
+    insertions as after 50."""
+    base = q4()
+    grown = {k: inflate(base, k, random.Random(0)) for k in (50, 200)}
+    calls = []
+    validate = ColoredGraph._validate
+
+    def counting(g):
+        calls.append(g.order)
+        validate(g)
+
+    monkeypatch.setattr(ColoredGraph, "_validate", counting)
+    inflate(base, 50, random.Random(0))
+    assert len(calls) == 1
+    counts = []
+    for k, g in grown.items():
+        calls.clear()
+        assert len(simplify(g).cancelled) == k + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_long_simplify_pinned():
+    """401 cancellations on one table take q4 grown by 400 dipoles to the
+    order-2 graph; the digest pins every site."""
+    res = simplify(inflate(q4(), 400, random.Random(0)))
+    assert res.graph.order == 2 and res.complete
+    assert len(res.cancelled) == 401
+    text = "\n".join(f"{d.vertices} {d.colors}" for d in res.cancelled)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d56648845bc72a14"
+
+
+def test_moves_that_change_nothing_return_the_input():
+    """No insertion, or a loop that cancels nothing, hands back the input
+    graph itself, with its lattice and classification."""
+    for g in (k2(4), rp3(), order4_nonbipartite(1)):
+        lattice, cls = g.lattice, g.classification
+        assert inflate(g, 0, random.Random(0)) is g
+        assert cancel_certified(g)[0] is g
+        res = simplify(g)
+        assert res.graph is g and res.cancelled == ()
+        assert res.graph.lattice is lattice and res.graph.classification is cls
+    g = q4()
+    assert cancel_certified(g, step_limit=0) == (g, [])
+    assert cancel_certified(g, step_limit=0)[0] is g
 
 
 # ============================================================

@@ -19,8 +19,17 @@ from gemkit import (
 from gemkit.census import random_graph
 from gemkit.invariants import cyclic_orders
 from gemkit.library import k2, q4, rp3, torus6
-from gemkit.residues import colors_of, full_mask, mask_of
-from oracles import union_find_components
+from gemkit.moves import inflate
+from gemkit.residues import (
+    _cancel_in_place,
+    _site_buckets,
+    colors_of,
+    dipole_side,
+    full_mask,
+    joined_pairs,
+    mask_of,
+)
+from oracles import joined_pairs_by_brute_force, union_find_components
 
 
 def test_k2_single_residue_per_subset():
@@ -287,3 +296,48 @@ def test_supercontracted_counterexample():
     g = ColoredGraph((a, b, b, b, b))
     assert not is_supercontracted(g)
     assert residue_count(g, (1, 2, 3, 4)) == 2
+
+
+# ============================================================
+# Joined pairs and their buckets
+# ============================================================
+
+
+def _seeded_multigraphs(rng, count):
+    """Small random graphs with many colors, so parallel edges abound, half
+    of them grown by a few dipoles."""
+    for i in range(count):
+        g = random_graph(rng.randint(1, 5), rng.choice((2, 4, 6, 8)), rng)
+        yield inflate(g, rng.randint(1, 6), rng) if i % 2 else g
+
+
+def test_joined_pairs_match_brute_force(rng):
+    """`joined_pairs` scans each vertex's rows once; trying every pair and
+    color lists the same sites in the same order."""
+    multi = 0
+    for g in _seeded_multigraphs(rng, 80):
+        pairs = joined_pairs(g)
+        assert pairs == joined_pairs_by_brute_force(g.matchings, g.vertices)
+        multi += sum(len(cols) > 1 for _, _, cols in pairs)
+    assert multi > 0
+
+
+def test_cancel_in_place_patches_the_buckets(rng):
+    """After every in-place cancellation the patched buckets hold exactly
+    the joined pairs of the remaining vertices, by color count, in stable
+    ids."""
+    for g in _seeded_multigraphs(rng, 40):
+        rows = [list(row) for row in g.matchings]
+        buckets = _site_buckets(g)
+        live = set(g.vertices)
+        while True:
+            want = [[] for _ in rows]
+            for site in joined_pairs_by_brute_force(rows, live):
+                want[len(site[2])].append(site)
+            assert buckets == want
+            sites = [s for bucket in buckets for s in bucket if dipole_side(rows, *s) is not None]
+            if not sites:
+                break
+            v, w, _ = rng.choice(sites)
+            _cancel_in_place(rows, buckets, v, w)
+            live -= {v, w}
