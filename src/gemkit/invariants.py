@@ -122,7 +122,7 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> Fraction:
         raise ColorRangeError(f"{eps} is not a cyclic order of colors 0..{g.n}")
     if g.n < 2:
         raise ValueError("the regular genus needs at least three colors")
-    return _genus(_bigons(g.lattice, g.colors), eps, g.order)
+    return Fraction(_doubled_genus(_bigons(g.lattice, g.colors), eps, g.order), 2)
 
 
 def _bigons(lattice: ResidueLattice, colors: Sequence[int]) -> dict[int, int]:
@@ -130,10 +130,11 @@ def _bigons(lattice: ResidueLattice, colors: Sequence[int]) -> dict[int, int]:
     return {1 << a | 1 << b: lattice.count((a, b)) for a, b in itertools.combinations(colors, 2)}
 
 
-def _genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> Fraction:
-    """Regular genus for the cyclic order eps of a graph or residue on `order` vertices."""
+def _doubled_genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> int:
+    """Twice the regular genus, 2*rho, for the cyclic order eps of a graph
+    or residue on `order` vertices: an integer, where rho may be a half."""
     s = sum(bigons[1 << eps[j - 1] | 1 << eps[j]] for j in range(len(eps)))
-    return Fraction(2 - s + (len(eps) - 2) * order // 2, 2)
+    return 2 - s + (len(eps) - 2) * order // 2
 
 
 def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, Counter]]:
@@ -176,12 +177,16 @@ class GDegreeReport:
 def g_degree(g: ColoredGraph) -> GDegreeReport:
     """Regular genera over all cyclic color orders and their sum, plus the
     dimension-four identities when they apply.  The subdegree's genera come
-    from the graph's own bigons grouped by residue (`_residue_bigons`)."""
+    from the graph's own bigons grouped by residue (`_residue_bigons`).
+    Genera are summed and checked doubled, as integers; only the reported
+    genera and omega are fractions."""
     if g.n < 2:
         raise ValueError("the G-degree needs at least three colors")
     cycles = _bigons(g.lattice, g.colors)
-    genera = {eps: _genus(cycles, eps, g.order) for eps in cyclic_orders(g.colors)}
-    omega = sum(genera.values(), Fraction(0))
+    doubled = {eps: _doubled_genus(cycles, eps, g.order) for eps in cyclic_orders(g.colors)}
+    genera = {eps: Fraction(rho2, 2) for eps, rho2 in doubled.items()}
+    omega2 = sum(doubled.values())
+    omega = Fraction(omega2, 2)
     if g.n != 4:
         return GDegreeReport(g.n, g.p, genera, omega)
 
@@ -190,25 +195,25 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
     bigons = sum(cycles.values())
     top = sum(lattice.count(complement(1 << c, 4)) for c in range(5))
     rho = top + 5 * p - bigons
-    omega_int = int(omega) if omega.denominator == 1 else None
+    omega_int = omega2 // 2 if omega2 % 2 == 0 else None
     multiple = omega_int is not None and omega_int % 3 == 0
     closed_form = omega_int == 3 * (4 + 6 * p - bigons)
 
-    # subdegree: G-degrees of the residues missing one color, summed
-    sub_total = Fraction(0)
+    # subdegree: G-degrees of the residues missing one color, summed, doubled
+    sub_total2 = 0
     pair_ok: dict[int, bool] = {}
     for c in range(5):
         parts = _residue_bigons(lattice, c)
         # per-color relation with the fixed cyclic order on the leftover colors
         order = PAIR_RELATION_ORDERS[c]
-        rho_c = Fraction(0)
+        rho_c2 = 0
         for rv, table in parts:
-            sub_total += sum(_genus(table, eps, rv.size) for eps in cyclic_orders(order))
-            rho_c += _genus(table, order, rv.size)
-        lhs = 2 * len(parts) - 2 * rho_c
+            sub_total2 += sum(_doubled_genus(table, eps, rv.size) for eps in cyclic_orders(order))
+            rho_c2 += _doubled_genus(table, order, rv.size)
+        lhs = 2 * len(parts) - rho_c2
         rhs = sum(cycles[1 << order[i - 1] | 1 << order[i]] for i in range(4)) - 2 * p
         pair_ok[c] = lhs == rhs
-    subdegree_ok = sub_total == 3 * rho
+    subdegree_ok = sub_total2 == 6 * rho
 
     checks = GDegreeChecks(
         multiple_of_three=multiple,

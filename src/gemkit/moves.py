@@ -154,12 +154,16 @@ def find_dipoles(g: ColoredGraph) -> list[Dipole]:
 
     Kind needs the two complementary residues classified: both singular
     means singular, any ordinary one means ordinary, otherwise the kind is
-    left None and properness unknown.
+    left None and properness unknown.  The sites are listed first, and g
+    is classified only if there is one.
     """
+    sites = dipole_sites(g)
+    if not sites:
+        return []
     cls = g.classification
     singular_manifold = is_singular_manifold(g)
     out = []
-    for v, w, cols in dipole_sites(g):
+    for v, w, cols in sites:
         comp = complement(mask_of(cols), g.n)
         side_v = cls.of_containing(comp, v)
         side_w = cls.of_containing(comp, w)
@@ -251,9 +255,11 @@ def simplify(g: ColoredGraph) -> SimplifyResult:
 
     The moves are those of `singularity.cancel_certified`, the loop sphere
     recognition reduces by: largest dipoles first, ties broken by smallest
-    vertex pair.  Only the final graph is classified in full: if
-    unclassifiable dipoles remain the result is flagged incomplete, since an
-    ordinary dipole may be hiding among them.
+    vertex pair.  Only the final graph can be classified in full, and only
+    when a dipole site is left on it: if unclassifiable dipoles remain the
+    result is flagged incomplete, since an ordinary dipole may be hiding
+    among them.  A final graph with no site is complete and left
+    unclassified.
     """
     cur, sites = cancel_certified(g)
     cancelled = tuple(

@@ -11,7 +11,8 @@ it, and `moves`, which re-exports it.  Cancelling is one 2-switch,
 `graph._switch`, as are insertion and connected sum in `moves`.  A chain
 of cancellations runs on one mutable table: `_site_buckets` holds the
 joined pairs by color count, and `_cancel_in_place` switches a pair off and
-patches only the pairs around it.  No view or graph keeps such a table.
+patches only the pairs that switch changes.  No view or graph keeps such a
+table.
 """
 
 from __future__ import annotations
@@ -250,7 +251,11 @@ def residue_lattice(g: ColoredGraph) -> ResidueLattice:
 
 
 def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
-    return tuple(c for c in g.colors if g.matchings[c][v] == w)
+    return _joined(g.matchings, v, w)
+
+
+def _joined(rows: Sequence, v: int, w: int) -> tuple[int, ...]:
+    return tuple(c for c, row in enumerate(rows) if row[v] == w)
 
 
 def _partners(rows: Sequence, v: int) -> dict[int, tuple[int, ...]]:
@@ -275,18 +280,6 @@ def joined_pairs(g: ColoredGraph) -> list[tuple[int, int, tuple[int, ...]]]:
     ]
 
 
-def _pairs_at(rows: Sequence, vertices: Iterable[int]) -> set:
-    """The (v, w, colors) with v < w joined by 1..n colors that have an end
-    among `vertices`."""
-    n = len(rows) - 1
-    return {
-        (min(u, x), max(u, x), cols)
-        for u in vertices
-        for x, cols in _partners(rows, u).items()
-        if len(cols) <= n
-    }
-
-
 def _site_buckets(g: ColoredGraph) -> list[list]:
     """`joined_pairs` split by color count: entry h lists the pairs joined by
     h colors, sorted by (v, w); entry 0 stays empty."""
@@ -298,21 +291,40 @@ def _site_buckets(g: ColoredGraph) -> list[list]:
 
 def _cancel_in_place(rows: list, buckets: list, v: int, w: int) -> None:
     """Cancel the dipole at (v, w) in mutable rows kept in stable vertex
-    ids, patching `_site_buckets`-style buckets to match.  The 2-switch on
-    every color joins v to w by all of them and cuts the pair off; only the
-    pairs at v, w and their old neighbours change, and the pair itself
-    leaves the buckets.  Callers must have checked the site."""
-    touched = {v, w}
-    for row in rows:
-        touched.add(row[v])
-        touched.add(row[w])
-    for site in _pairs_at(rows, touched):
-        bucket = buckets[len(site[2])]
-        del bucket[bisect_left(bucket, site)]
-    _switch(rows, v, w, range(len(rows)))
-    touched -= {v, w}
-    for site in _pairs_at(rows, touched):
-        insort(buckets[len(site[2])], site)
+    ids, patching `_site_buckets`-style buckets to match.  Callers must
+    have checked the site.
+
+    The 2-switch on every color c not joining v to w trades the edges
+    v-a and w-b for v-w and a-b, where a and b are v's and w's old
+    c-neighbours.  So only two kinds of pair change: every pair with an
+    end at v or w, which leaves the buckets with the cut-off pair, and
+    each end pair {a, b}, which gains c.  An end pair is re-filed under
+    its new color count, or dropped when it is now joined by every color,
+    as the last pair of an order-4 graph is."""
+    n = len(rows) - 1
+    cut = {
+        (min(u, x), max(u, x), cols)
+        for u in (v, w)
+        for x, cols in _partners(rows, u).items()
+        if len(cols) <= n
+    }
+    for site in cut:
+        _unfile(buckets, site)
+    ends = {tuple(sorted((row[v], row[w]))) for row in rows if row[v] != w}
+    for a, b in ends:
+        cols = _joined(rows, a, b)
+        if cols:
+            _unfile(buckets, (a, b, cols))
+    _switch(rows, v, w, range(n + 1))
+    for a, b in ends:
+        cols = _joined(rows, a, b)
+        if len(cols) <= n:
+            insort(buckets[len(cols)], (a, b, cols))
+
+
+def _unfile(buckets: list, site: tuple) -> None:
+    bucket = buckets[len(site[2])]
+    del bucket[bisect_left(bucket, site)]
 
 
 def dipole_side(rows: Sequence, v: int, w: int, cols: tuple[int, ...]) -> Optional[set[int]]:

@@ -9,6 +9,7 @@ import pytest
 
 import gemkit
 from gemkit import format_gem, library, parse_gem
+from gemkit.census import CensusParams, enumerate_census
 from gemkit.cli import main
 from gemkit.library import q4, torus6
 
@@ -191,6 +192,27 @@ def test_group_outputs_pinned(tmp_path, capsys):
                 else:
                     assert rc == 3, key
     assert ran == set(pinned)
+
+
+_GDEGREE_PINNED = os.path.join(os.path.dirname(__file__), "gdegree_outputs.txt")
+
+
+def test_gdegree_outputs_pinned(tmp_path, capsys):
+    """`gdegree --format text` prints, byte for byte, the pinned genera,
+    G-degree and dimension-four checks for every library fixture with at
+    least three colors and every entry of the n=4 order-6 census."""
+    with open(_GDEGREE_PINNED, encoding="utf-8") as fh:
+        blocks = fh.read().split("== ")[1:]
+    pinned = dict(block.split("\n", 1) for block in blocks)
+    cat = enumerate_census(CensusParams(n=4, order=6))
+    graphs = {name: make() for name, make in _GROUP_FIXTURES.items()}
+    graphs.update(zip(cat.entries, cat.graphs()))
+    assert set(graphs) == set(pinned)
+    path = tmp_path / "g.gem"
+    for name, g in graphs.items():
+        path.write_text(format_gem(g), encoding="utf-8")
+        rc = main(["gdegree", "--format", "text", str(path)])
+        assert (rc, capsys.readouterr().out) == (0, pinned[name]), name
 
 
 def test_group_hypothesis_violation_exit_code(t6_file, tmp_path):

@@ -468,8 +468,8 @@ def test_simplify_and_sphere_status_cancel_alike():
 
 
 def test_simplify_classifies_the_graph_once(monkeypatch):
-    """Sites are certified one at a time; only the final graph is classified
-    in full, to decide `complete`."""
+    """Sites are certified one at a time; only the final graph can be
+    classified in full, to decide `complete`, and only if a site is left."""
     import gemkit.singularity
 
     calls = []
@@ -483,6 +483,35 @@ def test_simplify_classifies_the_graph_once(monkeypatch):
     res = simplify(inflate(k2(4), 25, random.Random(3)))
     assert res.complete and res.graph.order == 2
     assert len(calls) <= 1
+
+
+def test_simplify_leaves_a_siteless_graph_unclassified():
+    """A final graph with no dipole site is complete without being
+    classified: `find_dipoles` lists the sites before it reads the
+    classification."""
+    siteless = 0
+    for base in (k2(3), k2(4), q4(), rp3(), torus_interval(), torus_disk()):
+        for seed in range(4):
+            res = simplify(inflate(base, 10, random.Random(seed)))
+            if not dipole_sites(res.graph):
+                siteless += 1
+                assert res.complete
+                assert "classification" not in vars(res.graph)
+    assert siteless >= 12
+
+
+def test_find_dipoles_alike_with_or_without_classification():
+    """Where sites remain, `find_dipoles` labels them the same whether or
+    not the graph's classification was read before it."""
+    graphs = [inflate(torus_disk(), 6, random.Random(seed)) for seed in range(4)]
+    for base in (q4(), rp3(), torus_interval(), order4_nonbipartite(0)):
+        g = inflate(base, 8, random.Random(5))
+        graphs += [cancel_certified(g, step_limit=j)[0] for j in (1, 3, 5)]
+    for g in graphs:
+        fresh, read = ColoredGraph(g.matchings), ColoredGraph(g.matchings)
+        assert read.classification is not None
+        dipoles = find_dipoles(fresh)
+        assert dipoles and dipoles == find_dipoles(read)
 
 
 # ============================================================

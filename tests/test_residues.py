@@ -29,6 +29,7 @@ from gemkit.residues import (
     joined_pairs,
     mask_of,
 )
+from gemkit.singularity import _first_certified
 from oracles import joined_pairs_by_brute_force, union_find_components
 
 
@@ -341,3 +342,25 @@ def test_cancel_in_place_patches_the_buckets(rng):
             v, w, _ = rng.choice(sites)
             _cancel_in_place(rows, buckets, v, w)
             live -= {v, w}
+
+
+def test_last_cancellation_empties_the_buckets():
+    """Reducing an inflated k2(n) to order 2, the cancellation from order
+    4 joins the last pair by every color, so it is no site: the patched
+    buckets end empty, and match the joined pairs at every step."""
+    for n in range(1, 6):
+        for seed in range(3):
+            g = inflate(k2(n), 8, random.Random(seed))
+            rows = [list(row) for row in g.matchings]
+            buckets = _site_buckets(g)
+            live = set(g.vertices)
+            while len(live) > 2:
+                site = _first_certified(rows, buckets, None)
+                assert site is not None, (n, seed, len(live))
+                _cancel_in_place(rows, buckets, site[0], site[1])
+                live -= set(site[:2])
+                want = [[] for _ in rows]
+                for pair in joined_pairs_by_brute_force(rows, live):
+                    want[len(pair[2])].append(pair)
+                assert buckets == want
+            assert buckets == [[] for _ in rows]
