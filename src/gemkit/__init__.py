@@ -97,7 +97,6 @@ from .singularity import (
     Verdict,
     boundary_structure,
     classify_graph,
-    classify_residue,
     euler_characteristics,
     h1_manifold,
     h1_quasi_manifold,

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .graph import ColoredGraph, _cycle, _union
-from .residues import complement, residues
+from .residues import complement
 
 Word = tuple  # tuple[tuple[int, int], ...]: (generator index, +1 | -1)
 
@@ -95,7 +95,7 @@ def c_group_presentation(g: ColoredGraph, c: int) -> GroupPresentation:
     for i in g.colors:
         if i == c:
             continue
-        for rv in residues(g, (i, c)):
+        for rv in g.lattice.residues((i, c)):
             relators.append(tuple(
                 (gen_index[min(v, w), max(v, w)], 1 if v < w else -1)
                 for color, v, w in _cycle(g.matchings, c, i, rv.vertices[0])

@@ -198,13 +198,6 @@ class ResidueLattice:
             if min_h <= bin(mask).count("1") <= hi:
                 yield from self._read(mask)
 
-    def by_rank(self, h: int) -> list[ResidueView]:
-        return sorted(self.all_residues(h, h), key=lambda rv: rv.key)
-
-    def counts_table(self) -> dict[tuple[int, ...], int]:
-        """g_Delta for every color subset, keyed by the sorted color tuple."""
-        return {colors_of(mask): self.count(mask) for mask in range(self._full)}
-
     def rank_counts(self) -> dict[int, int]:
         """Total number of h-residues for each h."""
         out: dict[int, int] = {}
@@ -224,19 +217,6 @@ class ResidueLattice:
             if rv.mask & bit or (rv.mask | bit) == self._full:
                 continue
             out.append(self.residue_containing(rv.mask | bit, rv.vertices[0]))
-        return out
-
-    def children(self, rv: ResidueView) -> list[ResidueView]:
-        """Covers below: the residues one color poorer contained in rv."""
-        out = []
-        for c in rv.colors:
-            sub = rv.mask & ~(1 << c)
-            seen = set()
-            for v in rv.vertices:
-                child = self.residue_containing(sub, v)
-                if child.key not in seen:
-                    seen.add(child.key)
-                    out.append(child)
         return out
 
 

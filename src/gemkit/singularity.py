@@ -17,6 +17,7 @@ from bisect import bisect, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import UnresolvedResidueError
@@ -80,9 +81,8 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     if status is not None:
         return status
     cls = g.classification if step_limit is None else classify_graph(g, step_limit)
-    singular = cls.singular_views()
-    if singular:
-        rv = singular[0]
+    if cls.singular:
+        rv = cls.singular[0]
         return SphereStatus(
             Verdict.NOT_SPHERE, f"singular {rv.colors} residue at vertex {rv.vertices[0]}"
         )
@@ -209,24 +209,6 @@ _CLASS_OF = {
 }
 
 
-def classify_residue(rv: ResidueView) -> ResidueClass:
-    """Ordinary, singular, or unknown; residues on at most two colors are
-    ordinary unconditionally."""
-    if rv.h <= 2:
-        return ResidueClass.ORDINARY
-    return _CLASS_OF[sphere_status(rv.as_graph()).verdict]
-
-
-def _all_ordinary(classes) -> Optional[bool]:
-    """False if any class is singular, else None if any is unknown, else True."""
-    classes = set(classes)
-    if ResidueClass.SINGULAR in classes:
-        return False
-    if ResidueClass.UNKNOWN in classes:
-        return None
-    return True
-
-
 @dataclass(frozen=True)
 class Classification:
     """Residue classes for one graph, backed by its full lattice."""
@@ -242,12 +224,21 @@ class Classification:
     def of_containing(self, colors, v: int) -> ResidueClass:
         return self.of(self.lattice.residue_containing(colors, v))
 
-    @property
+    @cached_property
+    def singular(self) -> tuple[ResidueView, ...]:
+        """The singular residues, in key order."""
+        return self._of_class(ResidueClass.SINGULAR)
+
+    @cached_property
     def unresolved(self) -> tuple[ResidueView, ...]:
+        """The unknown residues, in key order."""
+        return self._of_class(ResidueClass.UNKNOWN)
+
+    def _of_class(self, state: ResidueClass) -> tuple[ResidueView, ...]:
+        # only the color sets holding such a residue are read, each walked already
+        masks = sorted({mask for (mask, _), c in self.classes.items() if c is state})
         return tuple(
-            rv
-            for rv in self.lattice.all_residues(min_h=3)
-            if self.classes[rv.key] is ResidueClass.UNKNOWN
+            rv for mask in masks for rv in self.lattice._read(mask) if self.classes[rv.key] is state
         )
 
     def require_resolved(self, what: str) -> None:
@@ -258,15 +249,6 @@ class Classification:
                 f"{len(bad)} unknown (first: colors {bad[0].colors})",
                 residues=tuple(rv.key for rv in bad),
             )
-
-    def singular_views(self) -> list[ResidueView]:
-        out = [
-            rv
-            for rv in self.lattice.all_residues(min_h=3)
-            if self.classes[rv.key] is ResidueClass.SINGULAR
-        ]
-        out.sort(key=lambda rv: rv.key)
-        return out
 
 
 def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classification:
@@ -288,7 +270,7 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
         h = bin(mask).count("1")
         if h < 3:
             continue
-        views = lattice.residues(mask)
+        views = lattice._read(mask)  # masks made here need no range check
         key_at = {v: rv.key for rv in views for v in rv.vertices}
         # ranks 0 and 1 in closed form: size vertices, h*size/2 edges
         chi = {rv.key: (-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views}
@@ -297,7 +279,7 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
         while sub := (sub - 1) & mask:  # every proper nonempty color subset
             k = bin(sub).count("1")
             if k >= 2:
-                for rv in lattice.residues(sub):
+                for rv in lattice._read(sub):
                     key = key_at[rv.vertices[0]]
                     chi[key] += (-1) ** (h - 1 - k)
                     if k >= 3 and classes[rv.key] is ResidueClass.SINGULAR:
@@ -346,7 +328,7 @@ def singular_summary(g: ColoredGraph) -> SingularSetSummary:
     cls = g.classification
     cls.require_resolved("singular summary")
     n = g.n
-    sing = cls.singular_views()
+    sing = cls.singular
     if not sing:
         return SingularSetSummary((), None, 0)
 
@@ -381,13 +363,17 @@ def singular_summary(g: ColoredGraph) -> SingularSetSummary:
 def is_closed_manifold(g: ColoredGraph) -> Optional[bool]:
     """True/False when every top residue is classified, else None."""
     cls = g.classification
-    return _all_ordinary(cls.of(rv) for rv in cls.lattice.all_residues(min_h=g.n, max_h=g.n))
+    if any(rv.h == g.n for rv in cls.singular):
+        return False
+    return None if any(rv.h == g.n for rv in cls.unresolved) else True
 
 
 def is_singular_manifold(g: ColoredGraph) -> Optional[bool]:
     """Whether every singular residue (if any) uses all but one color."""
     cls = g.classification
-    return _all_ordinary(cls.of(rv) for rv in cls.lattice.all_residues(min_h=3, max_h=g.n - 1))
+    if any(rv.h < g.n for rv in cls.singular):
+        return False
+    return None if any(rv.h < g.n for rv in cls.unresolved) else True
 
 
 @dataclass(frozen=True)
@@ -403,7 +389,7 @@ def euler_characteristics(g: ColoredGraph) -> EulerCharacteristics:
     cls = g.classification
     cls.require_resolved("Euler characteristics")
     n = g.n
-    singular = Counter(rv.h for rv in cls.singular_views())
+    singular = Counter(rv.h for rv in cls.singular)
     return EulerCharacteristics(
         chi_m=sum((-1) ** h * (k - singular[h]) for h, k in cls.lattice.rank_counts().items()),
         chi_hat_m=quasi_manifold_euler(g),

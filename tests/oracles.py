@@ -6,7 +6,8 @@ union-find, canonical tables by exhaustive minimization without pruning,
 automorphisms by trying every vertex permutation, joined pairs by trying
 every vertex pair and color, residue classes and bigon tables from each
 residue's own subgraph, singular-set components by joining every
-comparable pair of singular residues.
+comparable pair of singular residues, covers below a residue from the
+residue through each of its vertices.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -311,6 +312,20 @@ def singular_components(g):
         hs = [bin(mask).count("1") for mask, _ in comp]
         out.append((sorted(comp), g.n - min(hs), sum((-1) ** (g.n - h) for h in hs)))
     return sorted(out)
+
+
+def covers_below(lattice, rv):
+    """The residues one color poorer contained in rv, each once, by color
+    dropped and then by first vertex: the residue of the smaller color set
+    through every vertex of rv."""
+    out = []
+    for c in rv.colors:
+        sub = rv.mask & ~(1 << c)
+        for v in rv.vertices:
+            child = lattice.residue_containing(sub, v)
+            if child not in out:
+                out.append(child)
+    return out
 
 
 def _sub_table(rows, cols, comp):

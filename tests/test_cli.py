@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import gemkit
-from gemkit import format_gem, library, parse_gem
-from gemkit.census import CensusParams, enumerate_census
+from gemkit import classify_graph, cli, format_gem, library, parse_gem
+from gemkit.census import CensusParams, enumerate_census, format_catalogue
 from gemkit.cli import main
 from gemkit.library import q4, torus6
 
@@ -213,6 +213,62 @@ def test_gdegree_outputs_pinned(tmp_path, capsys):
         path.write_text(format_gem(g), encoding="utf-8")
         rc = main(["gdegree", "--format", "text", str(path)])
         assert (rc, capsys.readouterr().out) == (0, pinned[name]), name
+
+
+_ANALYZE_PINNED = os.path.join(os.path.dirname(__file__), "analyze_outputs.txt")
+
+
+def test_analyze_outputs_pinned(tmp_path, capsys):
+    """`analyze --format records` prints, byte for byte, the pinned records
+    for every library fixture and every entry of the n=4 order-6 census,
+    and `report` the pinned survey of that census."""
+    with open(_ANALYZE_PINNED, encoding="utf-8") as fh:
+        blocks = fh.read().split("== ")[1:]
+    pinned = dict(block.split("\n", 1) for block in blocks)
+    cat = enumerate_census(CensusParams(n=4, order=6))
+    graphs = {name: make() for name, make in _GROUP_FIXTURES.items()}
+    graphs.update(zip(cat.entries, cat.graphs()))
+    assert set(graphs) | {"report"} == set(pinned)
+    path = tmp_path / "g.gem"
+    for name, g in graphs.items():
+        path.write_text(format_gem(g), encoding="utf-8")
+        rc = main(["analyze", "--format", "records", str(path)])
+        assert (rc, capsys.readouterr().out) == (0, pinned[name]), name
+    path = tmp_path / "o6.cat"
+    path.write_text(format_catalogue(cat), encoding="utf-8")
+    rc = main(["report", str(path)])
+    assert (rc, capsys.readouterr().out) == (0, pinned["report"])
+
+
+@pytest.fixture
+def unresolved_q4(monkeypatch):
+    """Every command loads q4 with the classification a zero reduction
+    budget leaves, which holds unknown residues."""
+    g = q4()
+    g.__dict__["classification"] = classify_graph(g, step_limit=0)
+    assert g.classification.unresolved
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    return g
+
+
+def test_analyze_unresolved_exit_code(unresolved_q4, capsys):
+    """Unknown residues give exit code 3 and `unknown` for every field read
+    from the residue classes, never a guess."""
+    assert main(["analyze", "--format", "records", "q4.gem"]) == 3
+    rec = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    derived = ("chi_M", "chi_hatM", "chi_singular", "closed", "singular_manifold",
+               "boundary_components", "singular_dimension", "h1")
+    assert {key: rec[key] for key in derived} == dict.fromkeys(derived, "unknown")
+    assert (rec["n"], rec["order"]) == ("4", "4")
+
+
+def test_transform_internalize_unresolved_exit_code(unresolved_q4, capsys):
+    """`transform --internalize` needs every residue classified; on unknown
+    ones it refuses with exit code 3 and writes no graph."""
+    assert main(["transform", "--internalize", "q4.gem"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gemkit: unresolved:")
 
 
 def test_group_hypothesis_violation_exit_code(t6_file, tmp_path):

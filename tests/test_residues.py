@@ -30,7 +30,7 @@ from gemkit.residues import (
     mask_of,
 )
 from gemkit.singularity import _first_certified
-from oracles import joined_pairs_by_brute_force, union_find_components
+from oracles import covers_below, joined_pairs_by_brute_force, union_find_components
 
 
 def test_k2_single_residue_per_subset():
@@ -118,7 +118,8 @@ def test_torus_lattice_counts(t6):
 
 
 def test_counts_table(t6):
-    table = residue_lattice(t6).counts_table()
+    lattice = residue_lattice(t6)
+    table = {colors_of(mask): lattice.count(mask) for mask in range(full_mask(t6.n))}
     assert table[()] == 6
     assert table[(0,)] == 3
     assert table[(0, 1)] == 1
@@ -209,7 +210,8 @@ def test_lattice_walks_only_what_is_read(monkeypatch):
     assert ranks[0] == 12 and ranks[1] == 5 * 6
     walked.clear()
     assert h.lattice.rank_counts() == ranks
-    h.lattice.counts_table()
+    for mask in range(full_mask(h.n)):
+        h.lattice.count(mask)
     assert walked == []
 
     is_supercontracted(fresh())
@@ -244,14 +246,14 @@ def test_cover_chain_length(rng):
     lattice = residue_lattice(g)
 
     def depth(rv):
-        kids = lattice.children(rv)
+        kids = covers_below(lattice, rv)
         if not kids:
             return 0
         depths = {depth(k) for k in kids}
         assert len(depths) == 1  # graded poset: all maximal chains equal
         return 1 + depths.pop()
 
-    for top in lattice.by_rank(g.n):
+    for top in lattice.all_residues(g.n, g.n):
         assert depth(top) == g.n
 
 
@@ -259,7 +261,7 @@ def test_parents_children_consistency(t6):
     lattice = residue_lattice(torus6())
     for rv in lattice.all_residues():
         for up in lattice.parents(rv):
-            assert rv.key in [kid.key for kid in lattice.children(up)]
+            assert rv.key in [kid.key for kid in covers_below(lattice, up)]
 
 
 def test_residue_as_graph_keeps_color_identity(t6):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gemkit import (
     ColoredGraph,
     ResidueClass,
+    ResidueLattice,
     ResidueView,
     SphereStatus,
     UnresolvedResidueError,
@@ -22,8 +23,8 @@ from gemkit import (
     add_dipole,
     boundary_structure,
     classify_graph,
-    classify_residue,
     euler_characteristics,
+    fingerprint,
     g_degree,
     h1_manifold,
     inflate,
@@ -43,6 +44,7 @@ from gemkit.library import (
     order4_nonbipartite,
     q4,
     rp3,
+    torus6,
     torus_disk,
     torus_interval,
 )
@@ -98,7 +100,7 @@ def test_small_residues_always_ordinary(t6):
     for r in range(3):
         for cols in itertools.combinations(t6.colors, r):
             for rv in residues(t6, cols):
-                assert classify_residue(rv) is ResidueClass.ORDINARY
+                assert t6.classification.of(rv) is ResidueClass.ORDINARY
 
 
 def test_complete_graph_residue_is_singular():
@@ -113,16 +115,16 @@ def test_complete_graph_residue_is_singular():
     assert sphere_status(sub) == SphereStatus(
         Verdict.NOT_SPHERE, "not bipartite, hence not orientable"
     )
-    assert classify_residue(rv) is ResidueClass.SINGULAR
+    assert g.classification.of(rv) is ResidueClass.SINGULAR
 
 
 def test_torus_residue_of_suspension_is_singular():
     st = torus_interval()
     rv = residues(st, (0, 1, 2))[0]
-    assert classify_residue(rv) is ResidueClass.SINGULAR
+    assert st.classification.of(rv) is ResidueClass.SINGULAR
     # the duplicated-color residues are spheres
     rv2 = residues(st, (0, 1, 3))[0]
-    assert classify_residue(rv2) is ResidueClass.ORDINARY
+    assert st.classification.of(rv2) is ResidueClass.ORDINARY
 
 
 def test_surface_residue_criterion_on_fixtures(fixtures_all):
@@ -140,7 +142,7 @@ def test_surface_residue_criterion_on_fixtures(fixtures_all):
                     for pair in itertools.combinations(range(3), 2)
                 )
                 expect = bigons - sub.order // 2 == 2
-                assert (classify_residue(rv) is ResidueClass.ORDINARY) == expect
+                assert (g.classification.of(rv) is ResidueClass.ORDINARY) == expect
 
 
 def test_analysis_computed_once(fixtures_all):
@@ -177,7 +179,7 @@ def test_analysis_holds_no_reference_to_its_graph():
     gc.disable()
     try:
         g = torus_disk()
-        assert g.classification.singular_views()
+        assert g.classification.singular
         g_degree(g)
         ref = weakref.ref(g)
         del g
@@ -239,6 +241,62 @@ def test_step_budget_leaves_residues_unknown():
         with pytest.raises(UnresolvedResidueError):
             cls.require_resolved("a budgeted classification")
         assert not g.classification.unresolved
+
+
+def _class_list_cases():
+    """Classifications of the library fixtures, the n=4 order-6 census and
+    seeded inflations, and budgeted ones that leave residues unknown."""
+    graphs = [k2(2), k2(3), k2(4), torus6(), torus_interval(), torus_disk(), q4(),
+              order4_nonbipartite(0), order4_nonbipartite(1), rp3()]
+    graphs += enumerate_census(CensusParams(n=4, order=6)).graphs()
+    graphs += [inflate(base(), k, random.Random(seed))
+               for base in (q4, torus_disk, rp3) for k, seed in ((2, 1), (4, 2))]
+    budgeted = [classify_graph(g, step_limit=limit)
+                for g in (q4(), torus_disk(), inflate(q4(), 2, random.Random(1)))
+                for limit in (0, 1)]
+    return [g.classification for g in graphs] + budgeted
+
+
+def test_class_lists_match_a_rescan():
+    """`singular` and `unresolved` hold the residues of their class, in key
+    order, as a rescan of the lattice finds them, and are made once."""
+    unknown = 0
+    for cls in _class_list_cases():
+        for state, got in ((ResidueClass.SINGULAR, cls.singular),
+                           (ResidueClass.UNKNOWN, cls.unresolved)):
+            want = [rv for rv in cls.lattice.all_residues(min_h=3) if cls.classes[rv.key] is state]
+            assert list(got) == want
+        assert cls.singular is cls.singular and cls.unresolved is cls.unresolved
+        unknown += bool(cls.unresolved)
+    assert unknown >= 4
+    assert len(classify_graph(q4(), step_limit=0).unresolved) == 5
+    for limit in (0, 1):
+        cls = classify_graph(torus_disk(), step_limit=limit)
+        assert (len(cls.unresolved), len(cls.singular)) == (1, 8)
+
+
+def test_reports_rescan_the_lattice_at_most_twice(monkeypatch):
+    """On a classified graph, the manifold flags, the singular summary, the
+    Euler characteristics and the fingerprint read the classification's
+    lists instead of scanning every residue on three or more colors."""
+    g = torus_disk()
+    assert g.classification.singular
+    scans = []
+    all_residues = ResidueLattice.all_residues
+
+    def spy(self, min_h=0, max_h=None):
+        if min_h == 3:
+            scans.append(max_h)
+        return all_residues(self, min_h, max_h)
+
+    monkeypatch.setattr(ResidueLattice, "all_residues", spy)
+    for _ in range(2):
+        is_closed_manifold(g)
+        is_singular_manifold(g)
+        singular_summary(g)
+        euler_characteristics(g)
+        fingerprint(g)
+    assert len(scans) <= 2
 
 
 def _invariance_cases():
@@ -309,7 +367,7 @@ def test_singular_summary_matches_comparability_oracle(fixtures_all):
     census = list(enumerate_census(CensusParams(4, 6)).graphs())
     rng = random.Random(13)
     drawn = [random_graph(rng.choice((3, 4, 5)), rng.choice((6, 8, 10)), rng) for _ in range(60)]
-    with_boundary = [g for g in drawn if g.classification.singular_views()]
+    with_boundary = [g for g in drawn if g.classification.singular]
     assert len(with_boundary) >= 20
     checked = 0
     for g in fixtures_all + census + with_boundary:
@@ -524,7 +582,7 @@ def test_certificate_names_a_residue_of_the_graph_given():
     v = int(match.group(2))
     rv = h.lattice.residue_containing(cols, v)
     assert rv.vertices[0] == v
-    assert classify_residue(rv) is ResidueClass.SINGULAR
+    assert sphere_status(rv.as_graph()).verdict is Verdict.NOT_SPHERE
 
 
 def test_unresolved_refusal():
