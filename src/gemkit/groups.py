@@ -115,10 +115,9 @@ def connecting_relators(g: ColoredGraph, c: int) -> tuple[int, ...]:
     """
     g.check_color(c)
     mask = complement(1 << c, g.n)
-    # each residue is a node, named by its minimum vertex
-    node = {v: rv.vertices[0] for rv in g.lattice.residues(mask) for v in rv.vertices}
-    parent = list(range(g.order))
-    return tuple(k for k, (v, w) in enumerate(c_edges(g, c)) if _union(parent, node[v], node[w]))
+    at = g.lattice._at(mask)
+    parent = list(range(g.lattice.count(mask)))
+    return tuple(k for k, (v, w) in enumerate(c_edges(g, c)) if _union(parent, at[v], at[w]))
 
 
 def quotient_presentation(g: ColoredGraph, c: int) -> GroupPresentation:

@@ -139,11 +139,12 @@ def _doubled_genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> in
 
 def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, Counter]]:
     """The residues missing color c, each with the bigons whose first vertex it holds."""
-    tables = [(rv, Counter()) for rv in lattice.residues(complement(1 << c, lattice.n))]
-    at = {v: table for rv, table in tables for v in rv.vertices}
+    mask = complement(1 << c, lattice.n)  # masks made here need no range check
+    tables = [(rv, Counter()) for rv in lattice._read(mask)]
+    at = lattice._at(mask)
     for a, b in itertools.combinations([d for d in range(lattice.n + 1) if d != c], 2):
-        for rv in lattice.residues(1 << a | 1 << b):
-            at[rv.vertices[0]][rv.mask] += 1
+        for rv in lattice._read(1 << a | 1 << b):
+            tables[at[rv.vertices[0]]][1][rv.mask] += 1
     return tables
 
 

@@ -31,8 +31,8 @@ from .errors import (
     WouldAnnihilateError,
 )
 from .graph import ColoredGraph, _component_table, _stack, _switch
-from .residues import colors_of, complement, mask_of
-from .residues import cancel_site, dipole_side, joined_colors, joined_pairs  # re-exported
+from .residues import _joined, colors_of, complement, mask_of
+from .residues import cancel_site, dipole_side, joined_pairs  # re-exported
 from .singularity import ResidueClass, cancel_certified, is_singular_manifold
 
 
@@ -79,7 +79,7 @@ def cancel_dipole(g: ColoredGraph, d: Dipole) -> ColoredGraph:
     v, w = d.vertices
     if not (0 <= v < g.order and 0 <= w < g.order) or v == w:
         raise NotADipoleError(f"bad vertex pair {d.vertices}")
-    cols = joined_colors(g, v, w)
+    cols = _joined(g.matchings, v, w)
     if cols != tuple(sorted(d.colors)):
         raise NotADipoleError(f"pair {d.vertices} joined by {cols}, not {d.colors}")
     if dipole_side(g.matchings, v, w, cols) is None:

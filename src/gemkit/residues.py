@@ -147,10 +147,11 @@ def is_supercontracted(g: ColoredGraph) -> bool:
 class ResidueLattice:
     """All residues of a graph for every proper color subset, with containment.
 
-    Lazy: a color set is walked on first read and kept; counts on fewer
-    than two colors are closed forms.  Holds the matchings, never the graph.
-    The cover relation links each residue to the unique residue one color
-    richer that contains it, one parent per added color.
+    Lazy: a color set is walked on first read and kept, and so is `_at`,
+    its one vertex-to-residue index; counts on fewer than two colors are
+    closed forms.  Holds the matchings, never the graph.  The cover
+    relation links each residue to the unique residue one color richer
+    that contains it, one parent per added color.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -159,7 +160,7 @@ class ResidueLattice:
         self._matchings = g.matchings
         self._full = full_mask(g.n)
         self._views: dict[int, tuple[ResidueView, ...]] = {}
-        self._index: dict[int, dict[int, int]] = {}  # mask -> vertex -> position in views
+        self._index: dict[int, list[int]] = {}  # mask -> `_at(mask)`
 
     def _mask(self, colors) -> int:
         mask = colors if isinstance(colors, int) else mask_of(colors)
@@ -175,6 +176,16 @@ class ResidueLattice:
             views = self._views[mask] = _walk(self._matchings, mask)
         return views
 
+    def _at(self, mask: int) -> list[int]:
+        """Entry v: the position in `_read(mask)` of the residue holding v."""
+        at = self._index.get(mask)
+        if at is None:
+            at = self._index[mask] = [0] * self.order
+            for i, rv in enumerate(self._read(mask)):
+                for v in rv.vertices:
+                    at[v] = i
+        return at
+
     def residues(self, colors) -> tuple[ResidueView, ...]:
         return self._read(self._mask(colors))
 
@@ -186,11 +197,9 @@ class ResidueLattice:
 
     def residue_containing(self, colors, v: int) -> ResidueView:
         mask = self._mask(colors)
-        views = self._read(mask)
-        index = self._index.get(mask)
-        if index is None:
-            index = self._index[mask] = {w: i for i, rv in enumerate(views) for w in rv.vertices}
-        return views[index[v]]
+        if not 0 <= v < self.order:  # a negative v would index from the end
+            raise IndexError(f"vertex {v} outside 0..{self.order - 1}")
+        return self._read(mask)[self._at(mask)[v]]
 
     def all_residues(self, min_h: int = 0, max_h: Optional[int] = None) -> Iterator[ResidueView]:
         hi = self.n if max_h is None else max_h
@@ -213,10 +222,10 @@ class ResidueLattice:
         Residues on n colors are maximal and have none."""
         out = []
         for c in range(self.n + 1):
-            bit = 1 << c
-            if rv.mask & bit or (rv.mask | bit) == self._full:
+            mask = rv.mask | 1 << c
+            if mask == rv.mask or mask == self._full:
                 continue
-            out.append(self.residue_containing(rv.mask | bit, rv.vertices[0]))
+            out.append(self._read(mask)[self._at(mask)[rv.vertices[0]]])
         return out
 
 
@@ -228,10 +237,6 @@ def residue_lattice(g: ColoredGraph) -> ResidueLattice:
 # ============================================================
 # Dipole mechanics: joined pairs and their complement residues
 # ============================================================
-
-
-def joined_colors(g: ColoredGraph, v: int, w: int) -> tuple[int, ...]:
-    return _joined(g.matchings, v, w)
 
 
 def _joined(rows: Sequence, v: int, w: int) -> tuple[int, ...]:

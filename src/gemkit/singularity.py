@@ -271,25 +271,25 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
         if h < 3:
             continue
         views = lattice._read(mask)  # masks made here need no range check
-        key_at = {v: rv.key for rv in views for v in rv.vertices}
-        # ranks 0 and 1 in closed form: size vertices, h*size/2 edges
-        chi = {rv.key: (-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views}
-        bad = set()
+        at = lattice._at(mask)
+        # by position in views; ranks 0 and 1 in closed form: size vertices, h*size/2 edges
+        chi = [(-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views]
+        bad = [False] * len(views)
         sub = mask
         while sub := (sub - 1) & mask:  # every proper nonempty color subset
             k = bin(sub).count("1")
             if k >= 2:
                 for rv in lattice._read(sub):
-                    key = key_at[rv.vertices[0]]
-                    chi[key] += (-1) ** (h - 1 - k)
+                    i = at[rv.vertices[0]]
+                    chi[i] += (-1) ** (h - 1 - k)
                     if k >= 3 and classes[rv.key] is ResidueClass.SINGULAR:
-                        bad.add(key)
+                        bad[i] = True
         rows = [g.matchings[c] for c in colors_of(mask)]
-        for rv in views:
-            if rv.key in bad:
+        for i, rv in enumerate(views):
+            if bad[i]:
                 classes[rv.key] = ResidueClass.SINGULAR
             else:
-                status = _ladder(rows, rv.vertices[0], rv.size, lambda: chi[rv.key])
+                status = _ladder(rows, rv.vertices[0], rv.size, lambda: chi[i])
                 status = status or _reduce(rv.as_graph(), step_limit)
                 classes[rv.key] = _CLASS_OF[status.verdict]
     return Classification(lattice, classes)
@@ -505,17 +505,17 @@ def h1_manifold(g: ColoredGraph) -> AbelianInvariants:
 def h1_quasi_manifold(g: ColoredGraph) -> AbelianInvariants:
     """H1 of the cone space |K(Gamma)|, for every graph, from K's chain
     complex: vertices, edges and triangles are the n-, (n-1)- and
-    (n-2)-residues, and the face dropping the i-th of the colors a residue
-    misses (in increasing order) enters its boundary with sign (-1)^i."""
+    (n-2)-residues, and a triangle's i-th cover in the lattice (in added
+    color order) is the face entering its boundary with sign (-1)^i."""
     n = g.n
     lattice = g.lattice
     edges = tuple(lattice.all_residues(n - 1, n - 1))
-    edge_at = {(rv.mask, v): k for k, rv in enumerate(edges) for v in rv.vertices}
+    edge_of = {rv.key: k for k, rv in enumerate(edges)}
     rows = []
     for rv in lattice.all_residues(n - 2, n - 2):
         row = [0] * len(edges)
-        for i, c in enumerate(colors_of(complement(rv.mask, n))):
-            row[edge_at[rv.mask | 1 << c, rv.vertices[0]]] += (-1) ** i
+        for i, face in enumerate(lattice.parents(rv)):
+            row[edge_of[face.key]] += (-1) ** i
         rows.append(row)
     vertices = sum(lattice.count(complement(1 << c, n)) for c in g.colors)
     return h1_from_rows(rows, len(edges), len(edges) - vertices + 1)

@@ -2,6 +2,7 @@
 golden record output."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -9,9 +10,12 @@ import pytest
 
 import gemkit
 from gemkit import classify_graph, cli, format_gem, library, parse_gem
-from gemkit.census import CensusParams, enumerate_census, format_catalogue
+from gemkit.census import CensusParams, enumerate_census, format_catalogue, random_graph
 from gemkit.cli import main
+from gemkit.groups import connecting_relators
 from gemkit.library import q4, torus6
+from gemkit.moves import inflate
+from gemkit.singularity import h1_quasi_manifold
 
 _SRC = os.path.dirname(os.path.dirname(gemkit.__file__))
 
@@ -238,6 +242,38 @@ def test_analyze_outputs_pinned(tmp_path, capsys):
     path.write_text(format_catalogue(cat), encoding="utf-8")
     rc = main(["report", str(path)])
     assert (rc, capsys.readouterr().out) == (0, pinned["report"])
+
+
+_H1_RELATOR_PINNED = os.path.join(os.path.dirname(__file__), "h1_relator_outputs.txt")
+
+
+def _h1_relator_lines():
+    """One line per graph: H1 of the cone space and, for every color c, the
+    connecting relators' c-edge indices.  The graphs are the library
+    fixtures, each also with six seeded dipoles, the censuses n=4 of order
+    6, n=3 of order 8, n=5 of order 4 and n=2 of order 8, and 24 seeded
+    random graphs."""
+    graphs = {name: make() for name, make in _GROUP_FIXTURES.items()}
+    graphs.update({f"inflate({name},6,{seed})": inflate(make(), 6, random.Random(seed))
+                   for seed, (name, make) in enumerate(_GROUP_FIXTURES.items())})
+    for n, order in ((4, 6), (3, 8), (5, 4), (2, 8)):
+        cat = enumerate_census(CensusParams(n=n, order=order))
+        graphs.update(zip(cat.entries, cat.graphs()))
+    rng = random.Random(19)
+    for k in range(24):
+        graphs[f"random_graph({k})"] = random_graph(2 + k % 4, rng.randrange(4, 17, 2), rng)
+    for name, g in graphs.items():
+        relators = (",".join(map(str, connecting_relators(g, c))) or "-" for c in g.colors)
+        yield f"{name} h1={h1_quasi_manifold(g)} relators={' '.join(relators)}\n"
+
+
+def test_h1_relator_outputs_pinned():
+    """H1 of the cone space and the connecting relators, which read the
+    lattice's vertex-to-residue index, are pinned for every graph of
+    `_h1_relator_lines`, line for line."""
+    with open(_H1_RELATOR_PINNED, encoding="utf-8") as fh:
+        pinned = fh.readlines()
+    assert list(_h1_relator_lines()) == pinned
 
 
 @pytest.fixture

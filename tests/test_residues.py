@@ -17,10 +17,12 @@ from gemkit import (
     residues,
 )
 from gemkit.census import random_graph
-from gemkit.invariants import cyclic_orders
-from gemkit.library import k2, q4, rp3, torus6
+from gemkit.groups import connecting_relators
+from gemkit.invariants import cyclic_orders, g_degree
+from gemkit.library import k2, q4, rp3, torus6, torus_disk
 from gemkit.moves import inflate
 from gemkit.residues import (
+    ResidueLattice,
     _cancel_in_place,
     _site_buckets,
     colors_of,
@@ -29,7 +31,7 @@ from gemkit.residues import (
     joined_pairs,
     mask_of,
 )
-from gemkit.singularity import _first_certified
+from gemkit.singularity import _first_certified, classify_graph
 from oracles import covers_below, joined_pairs_by_brute_force, union_find_components
 
 
@@ -221,6 +223,66 @@ def test_lattice_walks_only_what_is_read(monkeypatch):
     for eps in cyclic_orders(h.colors):
         regular_genus(h, eps)
     assert walked == [2] * 10
+
+    # the vertex-to-residue index of a color set walks that set alone, once
+    h = fresh()
+    h.lattice._at(0b01101)
+    assert walked == [3]
+    h.lattice._at(0b01101)
+    h.lattice.residue_containing(0b01101, 7)
+    assert walked == [3]
+
+
+def test_position_index_matches_components(fixtures_all):
+    """Entry v of `_at(mask)` is the position, among the color set's
+    residues ordered by minimum vertex, of the union-find component holding
+    v, for every proper color set of every fixture and of seeded random
+    graphs."""
+    rng = random.Random(19)
+    graphs = fixtures_all + [random_graph(n, rng.randrange(2, 17, 2), rng)
+                             for n in range(1, 6) for _ in range(4)]
+    for g in graphs:
+        lattice = residue_lattice(g)
+        for mask in range(full_mask(g.n)):
+            want = [None] * g.order
+            for i, comp in enumerate(union_find_components(g, colors_of(mask))):
+                for v in comp:
+                    want[v] = i
+            assert lattice._at(mask) == want, (g.matchings, mask)
+
+
+def test_position_index_built_once_per_color_set(monkeypatch):
+    """The classification, the G-degree, the connecting relators and
+    `residue_containing` on one graph share one index per color set: every
+    read of a color set's index, on the graph's lattice or on the lattice
+    of a residue rebuilt for a reduction, returns the list built first."""
+    first = {}
+    at = ResidueLattice._at
+
+    def spy(lattice, mask):
+        index = at(lattice, mask)
+        assert first.setdefault((lattice, mask), index) is index
+        return index
+
+    monkeypatch.setattr(ResidueLattice, "_at", spy)
+    for g in (torus_disk(), inflate(q4(), 4, random.Random(2)), random_graph(4, 12, random.Random(8))):
+        first.clear()
+        classify_graph(g)
+        g_degree(g)
+        for c in g.colors:
+            connecting_relators(g, c)
+        read = {mask for lattice, mask in first if lattice is g.lattice}
+        assert read == {mask for mask in range(full_mask(g.n)) if bin(mask).count("1") >= 3}
+        for mask in range(full_mask(g.n)):
+            for v in g.vertices:
+                g.lattice.residue_containing(mask, v)
+
+
+def test_residue_containing_refuses_a_vertex_outside_the_graph():
+    lattice = residue_lattice(q4())
+    for v in (-1, 4):
+        with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+            lattice.residue_containing(0b111, v)
 
 
 def test_upward_uniqueness(rng):
