@@ -34,8 +34,12 @@ the catalogue are unchanged.  Color-preserving equivalence fixes which
 color comes last, so there C - c* names no frontier class unless c* is
 the last color, and the test does not apply.
 
-A supercontracted census skips a last-level parent that is disconnected:
-each of its children is the parent again once its new color is dropped.
+A last-level candidate P + e meets, in turn: the orbit test, the signature
+test, connectivity from the parent, the parity filter, and then its labeling.
+P + e is connected exactly when e's pairs join the components of P, which
+are numbered once per parent.  With supercontraction, P + e less an old
+color c is (P - c) + e, decided from the components of P - c; and a
+disconnected P is skipped, as its children lose connectivity without e.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .errors import BudgetExceededError, GemSyntaxError, UnresolvedResidueError
 from .graph import (
     ColoredGraph,
     Equivalence,
+    _code_line,
     _color_signatures,
     _component,
     _component_table,
@@ -59,7 +64,6 @@ from .graph import (
     _two_color,
     _union,
     canonical_matchings,
-    format_code_line,
     parse_code_line,
 )
 from .invariants import classify_small, g_degree
@@ -224,19 +228,28 @@ def _stays_connected(matchings, order: int, colors) -> bool:
     return all(_connected(matchings[:c] + matchings[c + 1 :], order) for c in colors)
 
 
-def _keep_completed(matchings, order: int, params: CensusParams) -> bool:
-    """Raw-table filters for fully colored candidates."""
-    if params.supercontracted:
-        # connectivity of any drop-one table implies the full table's; the
-        # table without the last color is the parent, which is connected
-        if not _stays_connected(matchings, order, range(len(matchings) - 1)):
-            return False
-    elif not _connected(matchings, order):
-        return False
-    if params.bipartite is not None:
-        if (_two_color(matchings) is not None) != params.bipartite:
-            return False
-    return True
+def _component_labels(rows, order: int) -> tuple:
+    """The component number of each vertex under the given rows, and the
+    number of components."""
+    label = [0] * order
+    comps = _components(rows, order)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            label[v] = i
+    return label, len(comps)
+
+
+def _joins(labels: tuple, extra) -> bool:
+    """Whether the matching `extra` joins the components of `labels` (from
+    `_component_labels`) into one: a union-find over component numbers that
+    stops at the first full join."""
+    label, count = labels
+    parent = list(range(count))
+    for v, w in enumerate(extra):
+        if count == 1:
+            break
+        count -= _union(parent, label[v], label[w])
+    return count == 1
 
 
 def _new_color_leads(cand, counts: list) -> bool:
@@ -265,31 +278,39 @@ def enumerate_census(params: CensusParams) -> Catalogue:
         finishing = level == params.n
         seen: set = set()
         for partial in frontier:
-            if finishing and params.supercontracted and not _connected(partial, order):
-                continue  # every child loses connectivity when its new color is dropped
+            if finishing:  # the components that a completing color must join
+                parts = [_component_labels(partial, order)]
+                if params.supercontracted:
+                    if parts[0][1] > 1:
+                        continue  # every child loses connectivity when its new color is dropped
+                    parts = [_component_labels(partial[:c] + partial[c + 1 :], order)
+                             for c in range(len(partial))]
             roots = _orbit_roots(partial, involutions, index)
             counts = _pair_counts(partial) if permuting else None
             for i, extra in enumerate(involutions):
                 if roots[i] != i:  # an automorphism of partial maps it to a kept one
                     continue
                 cand = partial + (extra,)
-                # cheap isomorphism-invariant filters before canonicalizing
-                if finishing and not _keep_completed(cand, order, params):
-                    continue
                 if permuting and not _new_color_leads(cand, counts):
                     continue  # its class is also reached with a leading color as the new one
+                if finishing:
+                    if not all(_joins(labels, extra) for labels in parts):
+                        continue
+                    if params.bipartite is not None and (
+                        (_two_color(cand) is not None) != params.bipartite
+                    ):
+                        continue
                 seen.add(canonical_matchings(cand, color_permuting=permuting))
         frontier = sorted(seen)
 
     if params.no_ordinary_dipoles:
         frontier = [table for table in frontier if certified_site(ColoredGraph(table)) is None]
-    reps = [ColoredGraph(table) for table in frontier]
-    bip = sum(1 for g in reps if g.is_bipartite() is not None)
+    bip = sum(1 for table in frontier if _two_color(table) is not None)
     return Catalogue(
         params=params,
-        entries=tuple(format_code_line(g) for g in reps),
+        entries=tuple(map(_code_line, frontier)),
         bipartite_count=bip,
-        nonbipartite_count=len(reps) - bip,
+        nonbipartite_count=len(frontier) - bip,
     )
 
 

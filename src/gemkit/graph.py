@@ -206,11 +206,13 @@ class CanonicalCode:
 #
 # Tables compare color-major, row 0 first.  Row-0 entry i of a rooted table
 # is the label of the color-0 neighbor of the i-th discovered vertex, known
-# as soon as that vertex has been scanned.  So a start vertex is dropped the
-# moment its row-0 prefix exceeds the incumbent's row 0, before the rest of
-# its traversal runs or any table is built.  On a connected table the
-# incumbent is shared across the color orders: each order competes against
-# the best table of the orders tried before it.
+# as soon as that vertex has taken its color-0 step.  So a start vertex is
+# dropped the moment its row-0 prefix exceeds the incumbent's row 0, before
+# that vertex's other colors are scanned or any table is built.  A start
+# whose row 0 ties the incumbent's builds rows 1..n one at a time and is
+# dropped at the first larger row.  On a connected table the incumbent is
+# shared across the color orders: each order competes against the best
+# table of the orders tried before it.
 
 
 def _component(rows: Sequence, start: int, seen: list) -> list:
@@ -304,7 +306,7 @@ def _min_rooted_table(
     dropped mid-walk.
     """
     order = len(matchings[0])
-    first = matchings[0]
+    first, rest = matchings[0], matchings[1:]
     for start in range(order):
         label = [-1] * order
         label[start] = 0
@@ -312,28 +314,38 @@ def _min_rooted_table(
         # below: the row-0 prefix is already smaller than the incumbent's
         below = best is None
         for i, u in enumerate(discovery):  # grows while iterating: BFS queue
-            for row in matchings:
-                w = row[u]
-                if label[w] < 0:
-                    label[w] = len(discovery)
-                    discovery.append(w)
+            w = first[u]
+            if label[w] < 0:
+                label[w] = len(discovery)
+                discovery.append(w)
             if not below:
-                x = label[first[u]]
+                x = label[w]
                 y = best[0][i]
                 if x > y:
                     break
                 below = x < y
+            for row in rest:
+                w = row[u]
+                if label[w] < 0:
+                    label[w] = len(discovery)
+                    discovery.append(w)
         else:
             relabel = label.__getitem__
-            table = tuple(
-                [tuple(map(relabel, map(row.__getitem__, discovery))) for row in matchings]
-            )
-            if below or table < best:
-                best = table
-                if ties is not None:
-                    ties[:] = [discovery]
-            elif ties is not None and table == best:
-                ties.append(discovery)
+            table = [] if below else [best[0]]  # else row 0 ties the incumbent's
+            for c in range(len(table), len(matchings)):
+                row = tuple(map(relabel, map(matchings[c].__getitem__, discovery)))
+                if not below and row != best[c]:
+                    if row > best[c]:
+                        break
+                    below = True
+                table.append(row)
+            else:
+                if below:
+                    best = tuple(table)
+                    if ties is not None:
+                        ties[:] = [discovery]
+                elif ties is not None:
+                    ties.append(discovery)
     return best
 
 
@@ -390,8 +402,9 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
         )
     else:
         tables = [matchings]
-    comps = _components(matchings, len(matchings[0]))  # the same under every color order
-    if len(comps) > 1:
+    order = len(matchings[0])
+    if len(_component(matchings, 0, [False] * order)) < order:
+        comps = _components(matchings, order)  # the same under every color order
         return min(_canon_split(table, comps) for table in tables)
     best = None
     for table in tables:
@@ -568,8 +581,12 @@ def parse_code_line(line: str) -> ColoredGraph:
 
 
 def format_code_line(g: ColoredGraph) -> str:
-    rows = ";".join(",".join(str(v) for v in row) for row in g.matchings)
-    return f"{g.n};{g.order};{rows}"
+    return _code_line(g.matchings)
+
+
+def _code_line(matchings: Matchings) -> str:
+    rows = ";".join(",".join(map(str, row)) for row in matchings)
+    return f"{len(matchings) - 1};{len(matchings[0])};{rows}"
 
 
 # ============================================================

@@ -2,12 +2,12 @@
 
 These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
-union-find, canonical tables by exhaustive minimization without pruning,
-automorphisms by trying every vertex permutation, joined pairs by trying
-every vertex pair and color, residue classes and bigon tables from each
-residue's own subgraph, singular-set components by joining every
-comparable pair of singular residues, covers below a residue from the
-residue through each of its vertices.
+union-find, rooted tables of every start and canonical tables by exhaustive
+minimization without pruning, automorphisms by trying every vertex
+permutation, joined pairs by trying every vertex pair and color, residue
+classes and bigon tables from each residue's own subgraph, singular-set
+components by joining every comparable pair of singular residues, covers
+below a residue from the residue through each of its vertices.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -198,17 +198,31 @@ def bigon_count(g):
 # ============================================================
 
 
+def _bfs_order(rows, start):
+    """Discovery order of a BFS from `start` that scans colors in
+    increasing order."""
+    queue = [start]
+    seen = {start}
+    for u in queue:
+        for row in rows:
+            if row[u] not in seen:
+                seen.add(row[u])
+                queue.append(row[u])
+    return queue
+
+
 def _bfs_relabeled(rows, start):
     """The table relabeled by discovery order of a BFS from `start` that
     scans colors in increasing order."""
-    label = {start: 0}
-    queue = [start]
-    for u in queue:
-        for row in rows:
-            if row[u] not in label:
-                label[row[u]] = len(queue)
-                queue.append(row[u])
-    return tuple(tuple(label[row[queue[v]]] for v in range(len(queue))) for row in rows)
+    queue = _bfs_order(rows, start)
+    label = {v: i for i, v in enumerate(queue)}
+    return tuple(tuple(label[row[v]] for v in queue) for row in rows)
+
+
+def rooted_tables(rows):
+    """Every start vertex's rooted table of a connected table, built in full
+    with no pruning, paired with its discovery order, in start order."""
+    return [(_bfs_relabeled(rows, s), _bfs_order(rows, s)) for s in range(len(rows[0]))]
 
 
 def _canonical_fixed_colors(rows):

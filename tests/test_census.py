@@ -21,8 +21,11 @@ from gemkit import (
 from gemkit.census import (
     Catalogue,
     CensusParams,
+    _component_labels,
     _fpf_involutions,
+    _joins,
     _orbit_roots,
+    _standard_matching,
     census_report,
     enumerate_census,
     format_catalogue,
@@ -200,6 +203,41 @@ def test_disconnected_parents_skipped_when_supercontracted(monkeypatch):
     assert all(len(table_components(t, 8)) == 1 for t in last)
 
 
+@pytest.mark.parametrize(
+    "n, order, supercontracted", [(3, 6, False), (4, 6, True)], ids=["n3o6", "n4o6sc"]
+)
+def test_census_builds_graphs_only_for_the_dipole_filter(monkeypatch, n, order, supercontracted):
+    """The census answers connectivity from its parents' components and
+    writes its catalogue from raw tables: no `ColoredGraph` is built and no
+    connectivity walk runs, except one graph per frontier table for the
+    no-ordinary-dipoles filter."""
+    import gemkit.census
+
+    built = []
+    walks = []
+    real_graph, real_connected = gemkit.census.ColoredGraph, gemkit.census._connected
+
+    def graph(table):
+        built.append(table)
+        return real_graph(table)
+
+    def connected(matchings, order):
+        walks.append(matchings)
+        return real_connected(matchings, order)
+
+    monkeypatch.setattr(gemkit.census, "ColoredGraph", graph)
+    monkeypatch.setattr(gemkit.census, "_connected", connected)
+    params = CensusParams(n=n, order=order, supercontracted=supercontracted)
+    plain = enumerate_census(params)
+    assert (built, walks) == ([], [])
+    filtered = enumerate_census(
+        CensusParams(n=n, order=order, supercontracted=supercontracted, no_ordinary_dipoles=True)
+    )
+    assert walks == []
+    assert sorted(built) == sorted(parse_code_line(line).matchings for line in plain.entries)
+    assert filtered.count < plain.count
+
+
 def test_enumerate_deterministic():
     params = CensusParams(n=3, order=6)
     a = enumerate_census(params)
@@ -228,6 +266,51 @@ def test_catalogue_bytes_pinned(params, digest):
     version."""
     text = format_catalogue(enumerate_census(params))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (CensusParams(n=4, order=4, supercontracted=True), "5f494760e027c98d"),
+        (CensusParams(n=4, order=6, supercontracted=True), "a07143f77286b2fd"),
+    ],
+)
+def test_supercontracted_catalogue_bytes_pinned(params, digest):
+    """The two supercontracted censuses of the benchmark, pinned like the
+    four catalogues above (the paper's 1/2 and 8/31 classes)."""
+    text = format_catalogue(enumerate_census(params))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _seeded_partial_tables():
+    """Partial tables of 1 to 4 colors on 2 to 10 vertices, color 0 standard
+    as in the census and the rest drawn at random, connected or not."""
+    import random as random_mod
+
+    rng = random_mod.Random(21)
+    for order in (2, 4, 6, 8, 10):
+        involutions = _fpf_involutions(order)
+        for k in (1, 2, 3, 4):
+            for _ in range(3 if order < 10 else 1):
+                yield (_standard_matching(order),) + tuple(rng.choice(involutions) for _ in range(k - 1))
+
+
+def test_parent_components_decide_connectivity():
+    """A candidate P + e is connected exactly when e joins the components of
+    P, and P + e less an old color c exactly when e joins those of P - c:
+    checked against union-find on the whole table for every involution e."""
+    kinds = collections.Counter()  # (parent or drop-one table, connected) -> tables
+    for partial in _seeded_partial_tables():
+        order = len(partial[0])
+        drops = [partial[:c] + partial[c + 1 :] for c in range(len(partial))]
+        for kind, rows in [("parent", partial)] + [("drop-one", rows) for rows in drops]:
+            labels = _component_labels(rows, order)
+            assert labels[1] == len(table_components(rows, order))
+            kinds[kind, labels[1] == 1] += 1
+            for extra in _fpf_involutions(order):
+                joined = len(table_components(rows + (extra,), order)) == 1
+                assert _joins(labels, extra) == joined, (rows, extra)
+    assert len(kinds) == 4, kinds
 
 
 def _seeded_report_catalogues(tmp_path):

@@ -1,6 +1,7 @@
 """Data model, GEM text round-trips, bipartition, canonical codes, DOT."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -24,9 +25,16 @@ from gemkit import (
     parse_gem,
 )
 from gemkit.census import random_graph
-from gemkit.graph import _cycle, _switch, canonical_matchings
-from gemkit.library import k2, q4
-from oracles import bicolored_cycles, bigon_count, canonical_table, table_components, two_coloring
+from gemkit.graph import _cycle, _min_rooted_table, _switch, canonical_matchings
+from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
+from oracles import (
+    bicolored_cycles,
+    bigon_count,
+    canonical_table,
+    rooted_tables,
+    table_components,
+    two_coloring,
+)
 
 
 # ============================================================
@@ -358,6 +366,68 @@ def test_canonical_matchings_invariant_and_exact(rows, data):
     permuting = canonical_matchings(rows, color_permuting=True)
     assert permuting == canonical_table(rows, color_permuting=True)
     assert canonical_matchings(recolored, color_permuting=True) == permuting
+
+
+def _long_cycle(order, antipodal):
+    """Colors 0 and 1 forming one bicolored cycle through all `order`
+    vertices, optionally with a third color joining opposite vertices: many
+    starts tie on row 0, and on the whole table."""
+    rows = [
+        tuple(v ^ 1 for v in range(order)),
+        tuple((v + 1 if v % 2 else v - 1) % order for v in range(order)),
+    ]
+    if antipodal:
+        rows.append(tuple((v + order // 2) % order for v in range(order)))
+    return tuple(rows)
+
+
+_LONG_CYCLES = [_long_cycle(order, antipodal) for order in (8, 12, 16) for antipodal in (0, 1)]
+_SYMMETRIC_TABLES = [
+    g.matchings
+    for g in (k2(1), k2(2), k2(4), q4(), torus6(), torus_interval(), torus_disk(), rp3(),
+              order4_nonbipartite(0), order4_nonbipartite(1))
+] + _LONG_CYCLES
+
+
+def _near(table):
+    """The table itself, and tables one entry below or above it in every row."""
+    out = [table]
+    for c, row in enumerate(table):
+        i = (3 * c) % len(row)
+        for step in (-1, 1):
+            out.append(table[:c] + (row[:i] + (row[i] + step,) + row[i + 1 :],) + table[c + 1 :])
+    return out
+
+
+def _check_kernel(rows):
+    """The pruned kernel returns the least of the unpruned rooted tables,
+    and `ties` lists the discovery order of every start reaching it, in
+    start order.  Given an incumbent `best`, it returns min(best, least),
+    and `ties` gains the least table's starts unless `best` is smaller."""
+    starts = rooted_tables(rows)
+    least = min(table for table, _ in starts)
+    tying = [order for table, order in starts if table == least]
+    ties = []
+    assert _min_rooted_table(rows, ties=ties) == least
+    assert ties == tying
+    for best in _near(least):
+        ties = []
+        assert _min_rooted_table(rows, best, ties) == min(best, least)
+        assert ties == ([] if best < least else tying)
+    return tying
+
+
+@pytest.mark.parametrize("rows", _SYMMETRIC_TABLES)
+def test_min_rooted_table_against_every_start_on_symmetric_tables(rows):
+    tying = _check_kernel(rows)
+    if rows in _LONG_CYCLES:  # each rotation by an even step is an automorphism
+        assert len(tying) >= len(rows[0]) // 2
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), order=st.sampled_from([2, 4, 6, 8, 10]), seed=st.integers(0, 2**32))
+def test_min_rooted_table_against_every_start(n, order, seed):
+    _check_kernel(random_graph(n, order, random.Random(seed)).matchings)
 
 
 def test_color_positions_separate_only_when_preserving():
