@@ -54,7 +54,6 @@ from .graph import (
     Equivalence,
     _code_line,
     _color_signatures,
-    _component,
     _component_table,
     _components,
     _find,
@@ -172,7 +171,7 @@ def _automorphism_generators(table) -> list:
     order = len(table[0])
     gens = []
     last: dict = {}  # least rooted table -> discovery order of its latest component
-    for comp in _components(table, order):
+    for comp in _components(table, order)[1]:
         ties: list = []
         least = _min_rooted_table(_component_table(table, comp), ties=ties)
         first, *others = [[comp[i] for i in found] for found in ties]
@@ -219,7 +218,7 @@ def _orbit_roots(table, involutions, index: dict) -> list:
 
 
 def _connected(matchings, order: int) -> bool:
-    return len(_component(matchings, 0, [False] * order)) == order
+    return len(_components(matchings, order)[1]) == 1
 
 
 def _stays_connected(matchings, order: int, colors) -> bool:
@@ -228,22 +227,11 @@ def _stays_connected(matchings, order: int, colors) -> bool:
     return all(_connected(matchings[:c] + matchings[c + 1 :], order) for c in colors)
 
 
-def _component_labels(rows, order: int) -> tuple:
-    """The component number of each vertex under the given rows, and the
-    number of components."""
-    label = [0] * order
-    comps = _components(rows, order)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            label[v] = i
-    return label, len(comps)
-
-
-def _joins(labels: tuple, extra) -> bool:
-    """Whether the matching `extra` joins the components of `labels` (from
-    `_component_labels`) into one: a union-find over component numbers that
+def _joins(walk: tuple, extra) -> bool:
+    """Whether the matching `extra` joins the components of `walk`, a
+    `_components` result, into one: a union-find over component numbers that
     stops at the first full join."""
-    label, count = labels
+    label, count = walk[0], len(walk[1])
     parent = list(range(count))
     for v, w in enumerate(extra):
         if count == 1:
@@ -279,11 +267,11 @@ def enumerate_census(params: CensusParams) -> Catalogue:
         seen: set = set()
         for partial in frontier:
             if finishing:  # the components that a completing color must join
-                parts = [_component_labels(partial, order)]
+                parts = [_components(partial, order)]
                 if params.supercontracted:
-                    if parts[0][1] > 1:
+                    if len(parts[0][1]) > 1:
                         continue  # every child loses connectivity when its new color is dropped
-                    parts = [_component_labels(partial[:c] + partial[c + 1 :], order)
+                    parts = [_components(partial[:c] + partial[c + 1 :], order)
                              for c in range(len(partial))]
             roots = _orbit_roots(partial, involutions, index)
             counts = _pair_counts(partial) if permuting else None
@@ -294,7 +282,7 @@ def enumerate_census(params: CensusParams) -> Catalogue:
                 if permuting and not _new_color_leads(cand, counts):
                     continue  # its class is also reached with a leading color as the new one
                 if finishing:
-                    if not all(_joins(labels, extra) for labels in parts):
+                    if not all(_joins(walk, extra) for walk in parts):
                         continue
                     if params.bipartite is not None and (
                         (_two_color(cand) is not None) != params.bipartite

@@ -73,9 +73,9 @@ class ColoredGraph:
             for v in range(order):
                 if row[row[v]] != v:
                     raise InvolutionError(f"color {c}: not an involution at vertex {v}")
-        seen = [False] * order
-        if len(_component(rows, 0, seen)) != order:
-            raise DisconnectedError(f"vertex {seen.index(False)} unreachable from vertex 0")
+        comps = _components(rows, order)[1]
+        if len(comps) > 1:
+            raise DisconnectedError(f"vertex {comps[1][0]} unreachable from vertex 0")
 
     # ---- basic accessors ----
 
@@ -215,35 +215,33 @@ class CanonicalCode:
 # table of the orders tried before it.
 
 
-def _component(rows: Sequence, start: int, seen: list) -> list:
-    """Vertices reachable from `start` along the given matching rows, in
-    discovery order; marks them in the flag list `seen`."""
-    seen[start] = True
-    comp = [start]
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for row in rows:
-            w = row[v]
-            if not seen[w]:
-                seen[w] = True
-                comp.append(w)
-                stack.append(w)
-    return comp
-
-
-def _components(rows: Sequence, order: int) -> list:
-    """Components of the vertex set 0..order-1 under the given matching rows,
-    each sorted, ordered by minimum vertex; no rows leaves every vertex alone."""
-    seen = [False] * order
-    return [sorted(_component(rows, v, seen)) for v in range(order) if not seen[v]]
+def _components(rows: Sequence, order: int) -> tuple:
+    """The component number of each vertex of 0..order-1 under the given
+    matching rows, and the components, each sorted, numbered by least
+    vertex; no rows leaves every vertex alone."""
+    label = [-1] * order
+    comps = []
+    for v in range(order):
+        if label[v] < 0:
+            k = len(comps)
+            label[v] = k
+            comp = [v]
+            for u in comp:  # grows while iterating
+                for row in rows:
+                    w = row[u]
+                    if label[w] < 0:
+                        label[w] = k
+                        comp.append(w)
+            comp.sort()
+            comps.append(comp)
+    return label, comps
 
 
 def _two_color(rows: Sequence, roots: Optional[Sequence] = None) -> Optional[list]:
     """Sides 0/1 of a 2-coloring along the given rows, None if there is
     none; only the components of `roots` (default: every vertex) are
     colored, the other entries stay None.  A walk of its own, not
-    `_component`'s, as it stops at the first conflict."""
+    `_components`', as it stops at the first conflict."""
     side: list = [None] * len(rows[0])
     for root in range(len(rows[0])) if roots is None else roots:
         if side[root] is not None:
@@ -402,9 +400,8 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
         )
     else:
         tables = [matchings]
-    order = len(matchings[0])
-    if len(_component(matchings, 0, [False] * order)) < order:
-        comps = _components(matchings, order)  # the same under every color order
+    comps = _components(matchings, len(matchings[0]))[1]  # the same under every color order
+    if len(comps) > 1:
         return min(_canon_split(table, comps) for table in tables)
     best = None
     for table in tables:

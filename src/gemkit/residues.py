@@ -120,13 +120,15 @@ def residues(g: ColoredGraph, colors) -> list[ResidueView]:
 
     For the empty color set each vertex is its own residue.
     """
-    return list(_walk(g.matchings, _as_mask(colors, g.n)))
+    return list(_walk(g.matchings, _as_mask(colors, g.n))[1])
 
 
-def _walk(matchings: Matchings, mask: int) -> tuple[ResidueView, ...]:
+def _walk(matchings: Matchings, mask: int) -> tuple[list[int], tuple[ResidueView, ...]]:
+    """The position of the residue holding each vertex, and the residues
+    on the color set `mask`, ordered by minimum vertex."""
     rows = [matchings[c] for c in colors_of(mask)]
-    comps = _components(rows, len(matchings[0]))
-    return tuple(ResidueView(matchings, mask, tuple(comp)) for comp in comps)
+    label, comps = _components(rows, len(matchings[0]))
+    return label, tuple(ResidueView(matchings, mask, tuple(comp)) for comp in comps)
 
 
 def residue_count(g: ColoredGraph, colors) -> int:
@@ -147,11 +149,11 @@ def is_supercontracted(g: ColoredGraph) -> bool:
 class ResidueLattice:
     """All residues of a graph for every proper color subset, with containment.
 
-    Lazy: a color set is walked on first read and kept, and so is `_at`,
-    its one vertex-to-residue index; counts on fewer than two colors are
-    closed forms.  Holds the matchings, never the graph.  The cover
-    relation links each residue to the unique residue one color richer
-    that contains it, one parent per added color.
+    Lazy: a color set is walked on first read and kept, with `_at`, its
+    one vertex-to-residue index, filled in by the same walk; counts on
+    fewer than two colors are closed forms.  Holds the matchings, never
+    the graph.  The cover relation links each residue to the unique
+    residue one color richer that contains it, one parent per added color.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -159,8 +161,7 @@ class ResidueLattice:
         self.order = g.order
         self._matchings = g.matchings
         self._full = full_mask(g.n)
-        self._views: dict[int, tuple[ResidueView, ...]] = {}
-        self._index: dict[int, list[int]] = {}  # mask -> `_at(mask)`
+        self._walks: dict[int, tuple[list[int], tuple[ResidueView, ...]]] = {}
 
     def _mask(self, colors) -> int:
         mask = colors if isinstance(colors, int) else mask_of(colors)
@@ -171,20 +172,15 @@ class ResidueLattice:
         return mask
 
     def _read(self, mask: int) -> tuple[ResidueView, ...]:
-        views = self._views.get(mask)
-        if views is None:
-            views = self._views[mask] = _walk(self._matchings, mask)
-        return views
+        walk = self._walks.get(mask)
+        if walk is None:
+            walk = self._walks[mask] = _walk(self._matchings, mask)
+        return walk[1]
 
     def _at(self, mask: int) -> list[int]:
         """Entry v: the position in `_read(mask)` of the residue holding v."""
-        at = self._index.get(mask)
-        if at is None:
-            at = self._index[mask] = [0] * self.order
-            for i, rv in enumerate(self._read(mask)):
-                for v in rv.vertices:
-                    at[v] = i
-        return at
+        self._read(mask)
+        return self._walks[mask][0]
 
     def residues(self, colors) -> tuple[ResidueView, ...]:
         return self._read(self._mask(colors))
@@ -316,7 +312,7 @@ def dipole_side(rows: Sequence, v: int, w: int, cols: tuple[int, ...]) -> Option
     """The vertices of the residue through v on the colors outside `cols`,
     or None as soon as the walk meets w: (v, w) is then no dipole.  Reads
     the matching `rows` of a graph or of a reduction's mutable table.  A
-    walk of its own, not `_component`'s, for that early exit."""
+    walk of its own, not `_components`', for that early exit."""
     rows = [row for c, row in enumerate(rows) if c not in cols]
     seen = {v}
     stack = [v]

@@ -32,7 +32,6 @@ from .residues import (
     complement,
     dipole_side,
     full_mask,
-    mask_of,
 )
 
 
@@ -191,10 +190,11 @@ def _first_certified(rows, buckets: list, step_limit: Optional[int]):
 
 def _is_sphere(rows, cols, side, step_limit: Optional[int]) -> bool:
     """Whether the residue on the colors outside `cols` spanning `side` is
-    a sphere; the view on `rows` becomes a graph at once, so no view keeps
-    a reduction's mutable table."""
-    rv = ResidueView(rows, complement(mask_of(cols), len(rows) - 1), tuple(sorted(side)))
-    return sphere_status(rv.as_graph(), step_limit).verdict is Verdict.SPHERE
+    a sphere, built as a graph straight from the rows, so that nothing
+    keeps a reduction's mutable table."""
+    rest = [row for c, row in enumerate(rows) if c not in cols]
+    residue = ColoredGraph(_component_table(rest, sorted(side)))
+    return sphere_status(residue, step_limit).verdict is Verdict.SPHERE
 
 
 # ============================================================
@@ -491,12 +491,11 @@ def h1_manifold(g: ColoredGraph) -> AbelianInvariants:
     carries H1, is g plus one disk per bicolored cycle.  As g is connected,
     its cycles have rank E - (V - 1); the disks' boundary rows cut them down.
     """
-    m = g.matchings
-    edges = {e: k for k, e in enumerate((c, v) for c in g.colors for v in g.vertices if v < m[c][v])}
+    edges = {(c, v): k for k, (v, _, c) in enumerate(g.edges())}
     rows = []
     for rv in g.lattice.all_residues(2, 2):
         row = [0] * len(edges)
-        for c, v, w in _cycle(m, *rv.colors, rv.vertices[0]):
+        for c, v, w in _cycle(g.matchings, *rv.colors, rv.vertices[0]):
             row[edges[c, min(v, w)]] += 1 if v < w else -1
         rows.append(row)
     return h1_from_rows(rows, len(edges), len(edges) - g.order + 1)

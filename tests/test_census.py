@@ -21,7 +21,6 @@ from gemkit import (
 from gemkit.census import (
     Catalogue,
     CensusParams,
-    _component_labels,
     _fpf_involutions,
     _joins,
     _orbit_roots,
@@ -32,7 +31,7 @@ from gemkit.census import (
     parse_catalogue,
     random_graph,
 )
-from gemkit.graph import canonical_matchings
+from gemkit.graph import _components, canonical_matchings
 from oracles import (
     automorphisms,
     canonical_table,
@@ -304,9 +303,9 @@ def test_parent_components_decide_connectivity():
         order = len(partial[0])
         drops = [partial[:c] + partial[c + 1 :] for c in range(len(partial))]
         for kind, rows in [("parent", partial)] + [("drop-one", rows) for rows in drops]:
-            labels = _component_labels(rows, order)
-            assert labels[1] == len(table_components(rows, order))
-            kinds[kind, labels[1] == 1] += 1
+            labels = _components(rows, order)
+            assert len(labels[1]) == len(table_components(rows, order))
+            kinds[kind, len(labels[1]) == 1] += 1
             for extra in _fpf_involutions(order):
                 joined = len(table_components(rows + (extra,), order)) == 1
                 assert _joins(labels, extra) == joined, (rows, extra)

@@ -25,7 +25,7 @@ from gemkit import (
     parse_gem,
 )
 from gemkit.census import random_graph
-from gemkit.graph import _cycle, _min_rooted_table, _switch, canonical_matchings
+from gemkit.graph import _components, _cycle, _min_rooted_table, _switch, canonical_matchings
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
 from oracles import (
     bicolored_cycles,
@@ -221,14 +221,66 @@ def test_switch_keeps_joining_colors_and_isolates_the_pair(rng):
         assert (min(v, w), max(v, w)) in table_components(switched, order)
 
 
-def _random_involution(order, rng):
-    free = list(range(order))
-    rng.shuffle(free)
+def _random_involution(order, rng, parts=None):
+    """A random fixed-point-free involution, mapping each of the even
+    `parts` (default: the whole vertex set) to itself."""
     row = [0] * order
-    while free:
-        v, w = free.pop(), free.pop()
-        row[v], row[w] = w, v
+    for part in parts or [range(order)]:
+        free = list(part)
+        rng.shuffle(free)
+        while free:
+            v, w = free.pop(), free.pop()
+            row[v], row[w] = w, v
     return tuple(row)
+
+
+def _seeded_tables():
+    """Tables of 0 to 5 random rows on 2 to 12 vertices: free rows, mostly
+    connected, and rows kept inside two random even parts, always split."""
+    rng = random.Random(31)
+    for k in range(6):
+        for order in range(2, 13, 2):
+            for _ in range(3):
+                yield tuple(_random_involution(order, rng) for _ in range(k)), order
+                if order >= 4:
+                    verts = rng.sample(range(order), order)
+                    cut = rng.randrange(2, order, 2)
+                    parts = (verts[:cut], verts[cut:])
+                    yield tuple(_random_involution(order, rng, parts) for _ in range(k)), order
+
+
+def test_components_against_union_find():
+    """Entry v of the labels is the number of v's component, and the
+    components are union-find's, each sorted, ordered by least vertex; no
+    rows leaves every vertex alone."""
+    kinds = set()
+    for rows, order in _seeded_tables():
+        label, comps = _components(rows, order)
+        assert [tuple(comp) for comp in comps] == table_components(rows, order)
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+        assert label == [next(i for i, comp in enumerate(comps) if v in comp) for v in range(order)]
+        if not rows:
+            assert comps == [[v] for v in range(order)]
+        kinds.add((len(rows), len(comps) == 1))
+    assert {(k, joined) for k in range(2, 6) for joined in (False, True)} <= kinds
+
+
+def test_disconnected_error_names_least_unreachable_vertex():
+    """A split table is refused naming the least vertex outside vertex 0's
+    component; a connected one is accepted."""
+    split = 0
+    for rows, order in _seeded_tables():
+        if len(rows) < 2:
+            continue
+        reached = table_components(rows, order)[0]
+        if len(reached) == order:
+            ColoredGraph(rows)
+            continue
+        least = min(set(range(order)) - set(reached))
+        with pytest.raises(DisconnectedError, match=f"^vertex {least} unreachable from vertex 0$"):
+            ColoredGraph(rows)
+        split += 1
+    assert split >= 20
 
 
 # ============================================================

@@ -1,7 +1,8 @@
 """Module layering: graph -> residues -> groups -> singularity -> moves ->
 invariants -> census -> cli.  Every submodule imports on its own, and no
 function defers a package import to dodge a cycle, except the two cached
-properties through which a graph reaches the layers above it."""
+properties through which a graph reaches the layers above it.  No
+module-level private helper is left without a reader in the package."""
 
 import ast
 import os
@@ -64,3 +65,32 @@ def test_no_function_level_package_imports():
         with open(os.path.join(_PACKAGE, f"{name}.py"), encoding="utf-8") as fh:
             found += _deferred_imports(ast.parse(fh.read()), name)
     assert [site for site in found if site[:3] not in _DEFERRED] == []
+
+
+def _helpers_and_references():
+    """Each module-level private function as (module, name), and every name
+    read in the package outside its own definition; an import is no read."""
+    helpers, read = [], set()
+    for name in _MODULES:
+        with open(os.path.join(_PACKAGE, f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                helpers.append((name, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref != own:
+                    read.add(ref)
+    return helpers, read
+
+
+def test_every_private_helper_has_a_caller():
+    helpers, read = _helpers_and_references()
+    assert len(helpers) > 40
+    assert [site for site in helpers if site[1] not in read] == []
