@@ -66,6 +66,7 @@ from .graph import (
     parse_code_line,
 )
 from .invariants import classify_small, g_degree
+from .residues import is_supercontracted
 from .singularity import certified_site, is_closed_manifold, is_singular_manifold
 
 DEFAULT_BUDGET = (5, 8)  # max dimension, max order
@@ -221,12 +222,6 @@ def _connected(matchings, order: int) -> bool:
     return len(_components(matchings, order)[1]) == 1
 
 
-def _stays_connected(matchings, order: int, colors) -> bool:
-    """Whether the table stays connected with any one of `colors` dropped;
-    a raw-table walk that builds no lattice."""
-    return all(_connected(matchings[:c] + matchings[c + 1 :], order) for c in colors)
-
-
 def _joins(walk: tuple, extra) -> bool:
     """Whether the matching `extra` joins the components of `walk`, a
     `_components` result, into one: a union-find over component numbers that
@@ -347,13 +342,15 @@ def format_catalogue(cat: Catalogue) -> str:
 
 
 def parse_catalogue(text: str) -> Catalogue:
-    """Read a catalogue; its ``# count=`` footer must match the entries, so a
-    truncated file is rejected rather than loaded short, and every entry must
-    be distinct and have the header's dimension and order (n >= 1, even order).
-
-    The header's parity and supercontracted filters are checked too, the
-    latter only when tagged.  ``no-ordinary-dipoles`` stays unchecked: it
-    would need sphere recognition of residues for every entry."""
+    """Read a catalogue, checking its entries one at a time in file order:
+    each is parsed, checked and counted for parity before the next is read,
+    so one entry's graph is alive at a time and the first faulty entry
+    decides the error.  Every entry must be distinct and have the header's
+    dimension and order (n >= 1, even order), and the ``# count=`` footer
+    must match the entries, so a truncated file is rejected rather than
+    loaded short.  The header's parity and supercontracted filters are
+    checked too, the latter only when tagged.  ``no-ordinary-dipoles``
+    stays unchecked: it would need every entry's residues recognized."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise GemSyntaxError("missing catalogue header")
@@ -389,9 +386,10 @@ def parse_catalogue(text: str) -> Catalogue:
             f"'{lines[-1]}' counts entries the filter excludes"
         )
     entries = tuple(ln for ln in lines[1:-1] if not ln.startswith("#"))
-    graphs = [parse_code_line(ln) for ln in entries]
+    cat = Catalogue(params, entries, stated[1], stated[2])
     seen: set = set()
-    for line, g in zip(entries, graphs):
+    bip = 0
+    for line, g in zip(entries, cat.graphs()):
         if (g.n, g.order) != (params.n, params.order):
             raise GemSyntaxError(
                 f"catalogue entry {line!r} has n={g.n} order={g.order}, "
@@ -399,20 +397,19 @@ def parse_catalogue(text: str) -> Catalogue:
             )
         if line in seen:
             raise GemSyntaxError(f"catalogue entry {line!r} appears twice")
-        if params.supercontracted and not _stays_connected(g.matchings, g.order, g.colors):
+        if params.supercontracted and not is_supercontracted(g):
             raise GemSyntaxError(
                 f"catalogue header filters {params.filter_tags()} but entry "
                 f"{line!r} is not supercontracted"
             )
         seen.add(line)
-    bip = sum(1 for g in graphs if g.is_bipartite() is not None)
-    found = (len(graphs), bip, len(graphs) - bip)
-    if stated != found:
+        bip += g.is_bipartite() is not None
+    if stated != (cat.count, bip, cat.count - bip):
         raise GemSyntaxError(
-            f"catalogue footer '{lines[-1]}' disagrees with its {found[0]} "
-            f"entries ({found[1]} bipartite)"
+            f"catalogue footer '{lines[-1]}' disagrees with its {cat.count} "
+            f"entries ({bip} bipartite)"
         )
-    return Catalogue(params, entries, bip, len(graphs) - bip)
+    return cat
 
 
 def _fields(text: str) -> dict:
@@ -490,8 +487,7 @@ def census_report(cat: Catalogue) -> CensusReport:
     failures = []
     closed_count = 0
     singular_count = 0
-    for line in cat.entries:
-        g = parse_code_line(line)
+    for line, g in zip(cat.entries, cat.graphs()):
         bipartite = g.is_bipartite() is not None
         omega_reduced = None
         closed = is_closed_manifold(g)

@@ -551,6 +551,42 @@ def test_catalogue_entries_checked(edit, match):
         parse_catalogue(edit(text))
 
 
+def test_catalogue_readers_keep_one_entry_graph(monkeypatch):
+    """`parse_catalogue` and `census_report` read a catalogue one entry at a
+    time: whenever an entry is parsed, at most one earlier entry's graph is
+    still alive.  The cycle collector is off, so a graph is counted alive
+    exactly while something refers to it."""
+    import gc
+    import weakref
+
+    import gemkit.census
+
+    text = format_catalogue(enumerate_census(CensusParams(n=4, order=6, supercontracted=True)))
+    real = gemkit.census.parse_code_line
+    refs: list = []
+    alive: list = []
+
+    def spy(line):
+        alive.append(sum(ref() is not None for ref in refs))
+        g = real(line)
+        refs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(gemkit.census, "parse_code_line", spy)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cat = parse_catalogue(text)
+        assert len(refs) == 39 and max(alive) <= 1
+        refs.clear()
+        alive.clear()
+        census_report(cat)
+        assert len(refs) == 39 and max(alive) <= 1
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ============================================================
 # Random graphs
 # ============================================================

@@ -345,6 +345,21 @@ def test_enumerate_budget_exit_code():
     assert result.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "n, order, message",
+    [("0", "4", "gemkit: dimension must be >= 1"),
+     ("3", "5", "gemkit: order must be even and >= 2")],
+    ids=["n0", "order5"],
+)
+def test_enumerate_bad_shape_is_input_error(n, order, message):
+    """Census parameters naming no graph shape are an input error, held to
+    the same check as a catalogue header, before the budget is read."""
+    result = run_cli("enumerate", "--n", n, "--order", order)
+    assert result.returncode == 2
+    assert result.stderr.strip() == message
+    assert result.stdout == ""
+
+
 def test_enumerate_report_round_trip(tmp_path):
     cat_file = tmp_path / "o4.cat"
     run_cli("enumerate", "--n", "4", "--order", "4", "--supercontracted",

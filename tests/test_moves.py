@@ -38,7 +38,7 @@ from gemkit.census import random_graph
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
 from gemkit.moves import cancel_site, dipole_sites
 from gemkit.singularity import cancel_certified, certified_site
-from oracles import simplify_by_reclassification
+from oracles import residue_classes, simplify_by_reclassification, table_components
 
 
 def bridge_on_colors(a: ColoredGraph, b: ColoredGraph, colors) -> ColoredGraph:
@@ -98,6 +98,60 @@ def test_singular_dipole_detected_not_proper():
     ds = [d for d in find_dipoles(br) if d.h == 1 and d.kind is DipoleKind.SINGULAR]
     assert ds, "expected a singular 1-dipole on the bridge"
     assert all(d.properness is Properness.NOT_PROPER for d in ds)
+
+
+def _dipole_label_oracle(g, v, w, cols):
+    """Kind and properness of the dipole (v, w) on `cols` by `find_dipoles`'s
+    definition, from `oracles.residue_classes`: singular when the complement
+    residues through v and w are both singular, and then not proper when g is
+    a singular manifold, or when every residue on three or more of the
+    complement's colors, short of all of them, is ordinary through v or w."""
+    classes = residue_classes(g)
+
+    def side(sub, u):
+        comp = next(c for c in table_components([g.matchings[c] for c in sub], g.order) if u in c)
+        return classes[sum(1 << c for c in sub), comp[0]]
+
+    rest = tuple(c for c in g.colors if c not in cols)
+    ends = {side(rest, v), side(rest, w)}
+    if "ordinary" in ends:
+        return DipoleKind.ORDINARY, Properness.PROPER
+    if ends != {"singular"}:
+        return None, Properness.UNKNOWN
+    singular_manifold = not any(
+        name != "ordinary" and bin(mask).count("1") < g.n for (mask, _), name in classes.items()
+    )
+    pinched = all(
+        "ordinary" in (side(sub, v), side(sub, w))
+        for r in range(3, len(rest))
+        for sub in itertools.combinations(rest, r)
+    )
+    return DipoleKind.SINGULAR, (
+        Properness.NOT_PROPER if singular_manifold or pinched else Properness.UNKNOWN
+    )
+
+
+@pytest.mark.parametrize(
+    "code, site, proper",
+    [
+        ("4;8;1,0,3,2,5,4,7,6;2,5,0,4,3,1,7,6;3,5,4,0,2,1,7,6;4,6,3,2,0,7,1,5;4,7,3,2,0,6,5,1",
+         (0, 1), Properness.NOT_PROPER),
+        ("4;8;1,0,3,2,6,7,4,5;2,4,0,5,1,3,7,6;2,3,0,1,7,6,5,4;3,2,1,0,5,4,7,6;2,3,0,1,5,4,7,6",
+         (1, 4), Properness.UNKNOWN),
+    ],
+    ids=["pinched", "not-pinched"],
+)
+def test_singular_one_dipole_pinching_against_oracle(code, site, proper):
+    """An h = 1 singular dipole of a graph that is no singular manifold is
+    settled by the pinching test alone: both outcomes, from the order-8
+    color-permuting n=4 census, against the definition."""
+    from gemkit import is_singular_manifold, parse_code_line
+
+    g = parse_code_line(code)
+    assert is_singular_manifold(g) is False
+    (d,) = [d for d in find_dipoles(g) if d.vertices == site]
+    assert (d.h, d.kind, d.properness) == (1, DipoleKind.SINGULAR, proper)
+    assert (d.kind, d.properness) == _dipole_label_oracle(g, *site, d.colors)
 
 
 # ============================================================
