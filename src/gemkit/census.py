@@ -22,6 +22,17 @@ known to repeat a class are skipped.  Under color-preserving equivalence
 the orbits of a table are exactly its classes of extensions, so each class
 is labeled once per level.
 
+Under color-permuting equivalence a connected table's group also holds
+its automorphisms (p, s) that permute colors, s carrying each color c
+onto color p(c).  Such a pair maps T + e onto a recoloring of
+T + s e s^-1 that fixes the new color, so the two candidates are
+isomorphic, their new colors have the same signature, and they pass the
+same filters: the orbits are taken under this larger group, and the
+catalogue is again unchanged.  They are still finer than the classes: two
+extensions may be isomorphic only through a map that moves the new color,
+or be children of different parents.  Disconnected tables keep their
+color-preserving orbits.
+
 Under color-permuting equivalence a candidate is labeled only if its new
 color leads: its signature, the sorted cycle counts it forms with every
 other color, is the greatest of the candidate's, ties kept.  This loses no
@@ -56,10 +67,10 @@ from .graph import (
     _color_signatures,
     _component_table,
     _components,
-    _find,
     _min_rooted_table,
     _pair_components,
     _pair_counts,
+    _recolorings,
     _two_color,
     _union,
     canonical_matchings,
@@ -160,37 +171,49 @@ def _standard_matching(order: int) -> tuple[int, ...]:
     return tuple(v + 1 if v % 2 == 0 else v - 1 for v in range(order))
 
 
-def _automorphism_generators(table) -> list:
+def _automorphism_generators(table, permuting: bool) -> list:
     """Vertex permutations generating the color-preserving automorphism group
-    of a matching table, connected or not.
+    of a matching table, connected or not; with `permuting` and a connected
+    table, the vertex maps of its automorphisms that may permute colors.
 
     Per component, every start whose rooted table is the component's least
     gives an automorphism of the component (its discovery order matched to
     the first such start's), and each component isomorphic to an earlier one
     gives the swap of the two; together these generate the whole group.
+    With `permuting`, the starts of every admissible color order compete for
+    one least table, so a tie matches the table onto a recoloring of itself.
     """
     order = len(table[0])
     gens = []
     last: dict = {}  # least rooted table -> discovery order of its latest component
-    for comp in _components(table, order)[1]:
+    comps = _components(table, order)[1]
+    for comp in comps:
         ties: list = []
-        least = _min_rooted_table(_component_table(table, comp), ties=ties)
+        if permuting and len(comps) == 1:
+            least = None
+            for recolored in _recolorings(table):
+                least = _min_rooted_table(recolored, least, ties)
+        else:
+            least = _min_rooted_table(_component_table(table, comp), ties=ties)
         first, *others = [[comp[i] for i in found] for found in ties]
-        # an automorphism of a connected table is fixed by the image of one
-        # vertex; one whose image of first[0] is reached already is generated
+        # an automorphism of a connected table is fixed by its image of
+        # `first`; one whose image is reached already is generated
         local: list = []
-        reached = [first[0]]
+        reached = [first]
+        known = {tuple(first)}
         for other in others:
-            if other[0] in reached:
+            if tuple(other) in known:
                 continue
             perm = list(range(order))
             for v, w in zip(first, other):
                 perm[v] = w
             local.append(perm)
-            for v in reached:  # grows while iterating: the orbit of first[0]
+            for image in reached:  # grows while iterating: the group applied to first
                 for g in local:
-                    if g[v] not in reached:
-                        reached.append(g[v])
+                    moved = tuple([g[v] for v in image])
+                    if moved not in known:
+                        known.add(moved)
+                        reached.append(moved)
         gens.extend(local)
         twin = last.get(least)
         if twin is not None:
@@ -202,20 +225,32 @@ def _automorphism_generators(table) -> list:
     return gens
 
 
-def _orbit_roots(table, involutions, index: dict) -> list:
+def _orbit_roots(table, involutions, index: dict, permuting: bool) -> list:
     """For each involution, the least index in its orbit under the
-    automorphisms of `table` acting by conjugation, e -> s e s^-1;
-    `index` maps each involution to its position."""
-    root = list(range(len(involutions)))
-    for perm in _automorphism_generators(table):
+    automorphisms of `table` acting by conjugation, e -> s e s^-1, those
+    that permute colors included when `permuting`; `index` maps each
+    involution to its position.  Each orbit is walked once from its least
+    member."""
+    conjugators = []
+    for perm in _automorphism_generators(table, permuting):
         inverse = [0] * len(perm)
         for v, w in enumerate(perm):
             inverse[w] = v
-        for i, e in enumerate(involutions):
-            j = index[tuple([perm[e[u]] for u in inverse])]
-            if j != i:
-                _union(root, i, j)
-    return [_find(root, i) for i in range(len(involutions))]
+        conjugators.append((perm, inverse))
+    root = [-1] * len(involutions)
+    for i, e in enumerate(involutions):
+        if root[i] >= 0:
+            continue
+        root[i] = i
+        orbit = [e]
+        for f in orbit:  # grows while iterating
+            for perm, inverse in conjugators:
+                image = tuple([perm[f[u]] for u in inverse])
+                j = index[image]
+                if root[j] < 0:
+                    root[j] = i
+                    orbit.append(image)
+    return root
 
 
 def _connected(matchings, order: int) -> bool:
@@ -268,7 +303,7 @@ def enumerate_census(params: CensusParams) -> Catalogue:
                         continue  # every child loses connectivity when its new color is dropped
                     parts = [_components(partial[:c] + partial[c + 1 :], order)
                              for c in range(len(partial))]
-            roots = _orbit_roots(partial, involutions, index)
+            roots = _orbit_roots(partial, involutions, index, permuting)
             counts = _pair_counts(partial) if permuting else None
             for i, extra in enumerate(involutions):
                 if roots[i] != i:  # an automorphism of partial maps it to a kept one

@@ -391,15 +391,7 @@ def canonical_matchings(matchings: Matchings, color_permuting: bool = False) -> 
     are still being assigned): components are canonicalized independently,
     sorted, and re-stacked block by block.
     """
-    if color_permuting:
-        # colors with equal rows make many orders give one table: label it once
-        tables = list(
-            dict.fromkeys(
-                tuple(matchings[c] for c in perm) for perm in _admissible_color_orders(matchings)
-            )
-        )
-    else:
-        tables = [matchings]
+    tables = _recolorings(matchings) if color_permuting else [matchings]
     comps = _components(matchings, len(matchings[0]))[1]  # the same under every color order
     if len(comps) > 1:
         return min(_canon_split(table, comps) for table in tables)
@@ -460,6 +452,16 @@ def _admissible_color_orders(matchings: Matchings):
         *(itertools.permutations(group) for group in ordered_groups)
     ):
         yield tuple(c for part in parts for c in part)
+
+
+def _recolorings(matchings: Matchings) -> list:
+    """The table under each admissible color order, each distinct table
+    once: colors with equal rows make many orders give one table."""
+    return list(
+        dict.fromkeys(
+            tuple(matchings[c] for c in perm) for perm in _admissible_color_orders(matchings)
+        )
+    )
 
 
 def _encode(matchings: Matchings) -> bytes:

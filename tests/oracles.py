@@ -4,10 +4,11 @@ These deliberately avoid the package's own code paths: determinants by
 Bareiss elimination, invariant factors by minor gcds, components by
 union-find, rooted tables of every start and canonical tables by exhaustive
 minimization without pruning, automorphisms by trying every vertex
-permutation, joined pairs by trying every vertex pair and color, residue
-classes and bigon tables from each residue's own subgraph, singular-set
-components by joining every comparable pair of singular residues, covers
-below a residue from the residue through each of its vertices.
+permutation (against each given color permutation, when colors may move),
+joined pairs by trying every vertex pair and color, residue classes and
+bigon tables from each residue's own subgraph, singular-set components by
+joining every comparable pair of singular residues, covers below a residue
+from the residue through each of its vertices.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -254,6 +255,39 @@ def automorphisms(rows):
     ]
 
 
+def color_permuting_automorphisms(rows, color_perms):
+    """Every vertex permutation s for which some color permutation p in
+    `color_perms` gives m_p(c)(s(v)) = s(m_c(v)) for each color c and vertex
+    v, by trying all order! vertex permutations against each p: keep
+    order <= 6."""
+    order = len(rows[0])
+    return [
+        s
+        for s in itertools.permutations(range(order))
+        if any(
+            all(rows[p[c]][s[v]] == s[row[v]] for c, row in enumerate(rows) for v in range(order))
+            for p in color_perms
+        )
+    ]
+
+
+def color_signatures(rows):
+    """Each color's sorted bicolored cycle counts with every other color."""
+    k = len(rows)
+    return [sorted(bicolored_cycles(rows, c, d) for d in range(k) if d != c) for c in range(k)]
+
+
+def admissible_color_orders(rows):
+    """Every color order whose signatures are non-decreasing, in
+    lexicographic order."""
+    sig = color_signatures(rows)
+    return [
+        perm
+        for perm in itertools.permutations(range(len(rows)))
+        if all(sig[perm[i]] <= sig[perm[i + 1]] for i in range(len(rows) - 1))
+    ]
+
+
 def canonical_table(rows, color_permuting=False):
     """Minimum over every start vertex of the full BFS relabeling, per
     component; with color permutation, also over every color order whose
@@ -262,15 +296,9 @@ def canonical_table(rows, color_permuting=False):
     rows = tuple(tuple(r) for r in rows)
     if not color_permuting:
         return _canonical_fixed_colors(rows)
-    k = len(rows)
-    sig = [
-        sorted(bicolored_cycles(rows, c, d) for d in range(k) if d != c)
-        for c in range(k)
-    ]
     return min(
         _canonical_fixed_colors(tuple(rows[c] for c in perm))
-        for perm in itertools.permutations(range(k))
-        if all(sig[perm[i]] <= sig[perm[i + 1]] for i in range(k - 1))
+        for perm in admissible_color_orders(rows)
     )
 
 

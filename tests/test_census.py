@@ -35,6 +35,8 @@ from gemkit.graph import _components, canonical_matchings
 from oracles import (
     automorphisms,
     canonical_table,
+    color_permuting_automorphisms,
+    color_signatures,
     table_components,
     two_coloring,
     union_find_components,
@@ -109,14 +111,29 @@ def _extended_tables(monkeypatch, params):
     tables = []
     orbit_roots = gemkit.census._orbit_roots
 
-    def record(table, involutions, index):
+    def record(table, involutions, index, permuting):
         tables.append(table)
-        return orbit_roots(table, involutions, index)
+        return orbit_roots(table, involutions, index, permuting)
 
     with monkeypatch.context() as patch:
         patch.setattr(gemkit.census, "_orbit_roots", record)
         enumerate_census(params)
     return tables
+
+
+def _orbit_minima(auts, involutions, index):
+    """The least index in each involution's orbit under conjugation by the
+    vertex permutations `auts`, which form a group."""
+    expect = []
+    for e in involutions:
+        images = []
+        for s in auts:
+            row = [0] * len(e)
+            for v in range(len(e)):
+                row[s[v]] = s[e[v]]
+            images.append(index[tuple(row)])
+        expect.append(min(images))
+    return expect
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -126,28 +143,36 @@ def test_automorphism_orbits_against_brute_force(monkeypatch, n, equivalence):
     census keeps are the least of their orbits under the table's whole
     automorphism group, found by trying every vertex permutation.  The
     tables include disconnected ones with repeated isomorphic components,
-    whose swaps the generators must supply."""
+    whose swaps the generators must supply.  Up to color permutation, a
+    connected table's group is every vertex permutation that maps it onto
+    itself under some color permutation: every one at n=3, and at n=4 only
+    those keeping each color's signature, as no other can.  Some tables
+    must have coarser orbits under that group than under the
+    color-preserving one."""
+    permuting = equivalence is Equivalence.COLOR_PERMUTING
     involutions = _fpf_involutions(6)
     index = {e: i for i, e in enumerate(involutions)}
-    repeated = 0
+    repeated = merged = 0
     for table in _extended_tables(monkeypatch, CensusParams(n=n, order=6, equivalence=equivalence)):
-        auts = automorphisms(table)
-        expect = []
-        for e in involutions:
-            images = []
-            for s in auts:
-                row = [0] * 6
-                for v in range(6):
-                    row[s[v]] = s[e[v]]
-                images.append(index[tuple(row)])
-            expect.append(min(images))
-        assert _orbit_roots(table, involutions, index) == expect, table
+        expect = _orbit_minima(automorphisms(table), involutions, index)
+        if permuting and len(table_components(table, 6)) == 1:
+            sig = color_signatures(table)
+            perms = [
+                p
+                for p in itertools.permutations(range(len(table)))
+                if n == 3 or all(sig[p[c]] == sig[c] for c in range(len(table)))
+            ]
+            coarser = _orbit_minima(color_permuting_automorphisms(table, perms), involutions, index)
+            merged += coarser != expect
+            expect = coarser
+        assert _orbit_roots(table, involutions, index, permuting) == expect, table
         parts = [
             canonical_table([[comp.index(row[v]) for v in comp] for row in table])
             for comp in table_components(table, 6)
         ]
         repeated += len(set(parts)) < len(parts)
     assert repeated > 1
+    assert (merged > 0) == permuting
 
 
 def _labelings_per_level(monkeypatch, params):
@@ -177,17 +202,24 @@ def test_labelings_one_per_class_when_preserving(monkeypatch):
 
 
 def test_labelings_pinned_when_permuting(monkeypatch):
-    """Color-permuting equivalence merges classes that the color-preserving
-    automorphisms do not, so a level labels more tables than it keeps (52
-    for 31 frontier classes, 589 for 266 catalogue entries) even though a
-    candidate is labeled only when its new color has the greatest
-    signature.  Without that test the levels labeled 5, 86 and 1310;
-    extending by every involution labeled 3651 at the last level."""
+    """Color-permuting equivalence merges extensions that no automorphism
+    of their parent relates (children of different parents, or children
+    isomorphic only through a map that moves the new color), so a level
+    labels more tables than it keeps (39 for 31 frontier classes, 342 for
+    266 catalogue entries; 48 for the 47 entries of n=4 order 6) even
+    though a candidate is labeled only when its new color has the greatest
+    signature, and only once per orbit of the parent's color-permuting
+    automorphisms.  With orbits of the color-preserving ones only, the
+    levels labeled 5, 52 and 589 (81 at n=4 order 6); with those and
+    without the signature test, 5, 86 and 1310; extending by every
+    involution labeled 3651 at the last level.  These are work counters,
+    not outputs: the catalogues stay pinned by digest."""
     assert _labelings_per_level(monkeypatch, CensusParams(n=3, order=8)) == {
         2: 5,
-        3: 52,
-        4: 589,
+        3: 39,
+        4: 342,
     }
+    assert _labelings_per_level(monkeypatch, CensusParams(n=4, order=6))[5] == 48
 
 
 def test_disconnected_parents_skipped_when_supercontracted(monkeypatch):
@@ -367,9 +399,12 @@ def test_budget_edge_census():
     """Regression anchor: this engine's counts for the five-color order-8
     supercontracted census.  They are not from the paper, which reports only
     the order-4 and order-6 counts; they are pinned so that engine changes
-    cannot move them."""
+    cannot move them.  The catalogue's bytes are pinned too, as this is the
+    census whose labelings the orbit test cuts the most."""
     cat = enumerate_census(CensusParams(n=4, order=8, supercontracted=True))
     assert (cat.count, cat.bipartite_count, cat.nonbipartite_count) == (3441, 122, 3319)
+    digest = hashlib.sha256(format_catalogue(cat).encode()).hexdigest()
+    assert digest[:16] == "f43675be25a4e929"
 
 
 def test_entries_canonical_and_distinct():

@@ -24,10 +24,11 @@ from gemkit import (
     parse_code_line,
     parse_gem,
 )
-from gemkit.census import random_graph
+from gemkit.census import CensusParams, enumerate_census, random_graph
 from gemkit.graph import _components, _cycle, _min_rooted_table, _switch, canonical_matchings
 from gemkit.library import k2, order4_nonbipartite, q4, rp3, torus6, torus_disk, torus_interval
 from oracles import (
+    admissible_color_orders,
     bicolored_cycles,
     bigon_count,
     canonical_table,
@@ -480,6 +481,37 @@ def test_min_rooted_table_against_every_start_on_symmetric_tables(rows):
 @given(n=st.integers(1, 4), order=st.sampled_from([2, 4, 6, 8, 10]), seed=st.integers(0, 2**32))
 def test_min_rooted_table_against_every_start(n, order, seed):
     _check_kernel(random_graph(n, order, random.Random(seed)).matchings)
+
+
+def _check_kernel_across_color_orders(rows):
+    """One incumbent and one `ties` list passed through the table under
+    every admissible color order end with the least rooted table of every
+    (order, start) pair, and `ties` holds the discovery order of each pair
+    whose full table is that least, in the order tried.  Returns how many
+    color orders those pairs span."""
+    tried = [(perm, tuple(rows[c] for c in perm)) for perm in admissible_color_orders(rows)]
+    starts = [(perm, table, found) for perm, t in tried for table, found in rooted_tables(t)]
+    least = min(table for _, table, _ in starts)
+    best, ties = None, []
+    for _, t in tried:
+        best = _min_rooted_table(t, best, ties)
+    assert best == least
+    assert ties == [found for _, table, found in starts if table == least]
+    return len({perm for perm, table, _ in starts if table == least})
+
+
+def test_min_rooted_table_ties_across_color_orders():
+    """On symmetric tables and the n=3 order-6 catalogue, some tables tie
+    across two color orders: a recoloring maps them onto themselves."""
+    catalogue = enumerate_census(CensusParams(n=3, order=6))
+    tables = _SYMMETRIC_TABLES + [g.matchings for g in catalogue.graphs()]
+    assert max(map(_check_kernel_across_color_orders, tables)) > 1
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), order=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32))
+def test_min_rooted_table_ties_across_color_orders_of_random_tables(n, order, seed):
+    _check_kernel_across_color_orders(random_graph(n, order, random.Random(seed)).matchings)
 
 
 def test_color_positions_separate_only_when_preserving():
