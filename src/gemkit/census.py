@@ -67,12 +67,12 @@ from .graph import (
     _color_signatures,
     _component_table,
     _components,
+    _joins,
     _min_rooted_table,
     _pair_components,
     _pair_counts,
     _recolorings,
     _two_color,
-    _union,
     canonical_matchings,
     parse_code_line,
 )
@@ -257,19 +257,6 @@ def _connected(matchings, order: int) -> bool:
     return len(_components(matchings, order)[1]) == 1
 
 
-def _joins(walk: tuple, extra) -> bool:
-    """Whether the matching `extra` joins the components of `walk`, a
-    `_components` result, into one: a union-find over component numbers that
-    stops at the first full join."""
-    label, count = walk[0], len(walk[1])
-    parent = list(range(count))
-    for v, w in enumerate(extra):
-        if count == 1:
-            break
-        count -= _union(parent, label[v], label[w])
-    return count == 1
-
-
 def _new_color_leads(cand, counts: list) -> bool:
     """Whether the last color of `cand` has the greatest signature among its
     colors, ties included; `counts` holds the pair counts of the others."""
@@ -312,7 +299,7 @@ def enumerate_census(params: CensusParams) -> Catalogue:
                 if permuting and not _new_color_leads(cand, counts):
                     continue  # its class is also reached with a leading color as the new one
                 if finishing:
-                    if not all(_joins(walk, extra) for walk in parts):
+                    if not all(_joins(walk, extra)[1] == 1 for walk in parts):
                         continue
                     if params.bipartite is not None and (
                         (_two_color(cand) is not None) != params.bipartite

@@ -155,13 +155,15 @@ def cmd_validate(args) -> int:
 
 
 def _analysis_records(g: ColoredGraph) -> tuple[dict, bool]:
+    # classified first, so that the lattice reads its color sets by rank and
+    # joins the n-color sets that `is_supercontracted` reads from smaller ones
+    unresolved = bool(g.classification.unresolved)
     rec: dict = {
         "n": g.n,
         "order": g.order,
         "bipartite": g.is_bipartite() is not None,
         "supercontracted": is_supercontracted(g),
     }
-    unresolved = bool(g.classification.unresolved)
     if unresolved:
         rec.update(
             chi_M=None, chi_hatM=None, chi_singular=None,

@@ -291,6 +291,20 @@ def _union(parent: list, x: int, y: int) -> bool:
     return True
 
 
+def _joins(walk: tuple, extra) -> tuple[list, int]:
+    """The components of `walk`, a `_components`-style (labels, components)
+    pair, joined along the matching `extra`: a union-find forest over their
+    numbers and the number of classes left, stopping at the first full join.
+    The census's connectivity tests and the lattice's color sets read it."""
+    label, count = walk[0], len(walk[1])
+    parent = list(range(count))
+    for v, w in enumerate(extra):
+        if count == 1:
+            break
+        count -= _union(parent, label[v], label[w])
+    return parent, count
+
+
 def _min_rooted_table(
     matchings: Matchings, best: Optional[Matchings] = None, ties: Optional[list] = None
 ) -> Matchings:

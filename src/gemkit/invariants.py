@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import ColorRangeError, HypothesisViolatedError, OutOfTableRangeError
@@ -26,7 +27,7 @@ from .groups import (
     c_group_presentation,
     quotient_presentation,
 )
-from .residues import ResidueLattice, ResidueView, complement
+from .residues import ResidueLattice, ResidueView, colors_of, complement
 from .singularity import (
     Classification,
     ResidueClass,
@@ -106,6 +107,12 @@ def cyclic_orders(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     colors = tuple(sorted(colors))
     if len(colors) < 3:
         raise ValueError("cyclic orders need at least three colors")
+    return _cyclic_orders(colors)
+
+
+@cache
+def _cyclic_orders(colors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """`cyclic_orders` of a sorted color tuple, made once per tuple."""
     first, rest = colors[0], colors[1:]
     out = []
     for perm in itertools.permutations(rest):
@@ -127,7 +134,8 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> Fraction:
 
 def _bigons(lattice: ResidueLattice, colors: Sequence[int]) -> dict[int, int]:
     """The bigon table: pair mask -> number of bicolored cycles on that pair."""
-    return {1 << a | 1 << b: lattice.count((a, b)) for a, b in itertools.combinations(colors, 2)}
+    masks = [1 << a | 1 << b for a, b in itertools.combinations(colors, 2)]  # need no range check
+    return {mask: len(lattice._read(mask)) for mask in masks}
 
 
 def _doubled_genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> int:
@@ -137,10 +145,15 @@ def _doubled_genus(bigons: dict[int, int], eps: Sequence[int], order: int) -> in
     return 2 - s + (len(eps) - 2) * order // 2
 
 
-def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, Counter]]:
-    """The residues missing color c, each with the bigons whose first vertex it holds."""
+def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, dict]]:
+    """The residues missing color c, each with the bigons whose first vertex
+    it holds; when that residue is the whole graph, the graph's own bigon
+    table on the other colors."""
     mask = complement(1 << c, lattice.n)  # masks made here need no range check
-    tables = [(rv, Counter()) for rv in lattice._read(mask)]
+    views = lattice._read(mask)
+    if len(views) == 1:
+        return [(views[0], _bigons(lattice, colors_of(mask)))]
+    tables = [(rv, Counter()) for rv in views]
     at = lattice._at(mask)
     for a, b in itertools.combinations([d for d in range(lattice.n + 1) if d != c], 2):
         for rv in lattice._read(1 << a | 1 << b):
@@ -207,9 +220,10 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
         parts = _residue_bigons(lattice, c)
         # per-color relation with the fixed cyclic order on the leftover colors
         order = PAIR_RELATION_ORDERS[c]
+        orders = cyclic_orders(order)
         rho_c2 = 0
         for rv, table in parts:
-            sub_total2 += sum(_doubled_genus(table, eps, rv.size) for eps in cyclic_orders(order))
+            sub_total2 += sum(_doubled_genus(table, eps, rv.size) for eps in orders)
             rho_c2 += _doubled_genus(table, order, rv.size)
         lhs = 2 * len(parts) - rho_c2
         rhs = sum(cycles[1 << order[i - 1] | 1 << order[i]] for i in range(4)) - 2 * p

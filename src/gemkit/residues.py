@@ -4,6 +4,11 @@ poset, and the dipole mechanics.
 Color sets are bitmasks over 0..n; a Delta-residue is one connected component
 of the subgraph that keeps only the colors in Delta.  The poset of all
 residues under containment drives every topological computation downstream.
+The lattice fills a color set from a walked set one color smaller when it
+can, by joining that set's residues along the added color (`graph._joins`),
+and a set joined into one residue, the common case from three colors up,
+costs no walk and no sort; `singularity.classify_graph` reads the sets rank
+by rank, so that every set it reads from three colors up is joined.
 A dipole is a pair of vertices joined by 1..n colors and separated by the
 residue on the other colors; finding and cancelling one needs no topology,
 so it lives here, below `singularity`, whose sphere recognition reduces by
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ColorRangeError
-from .graph import ColoredGraph, Matchings, _component_table, _components, _switch
+from .graph import ColoredGraph, Matchings, _component_table, _components, _find, _joins, _switch
 
 ResidueKey = tuple  # (mask, minimum vertex)
 
@@ -149,11 +154,12 @@ def is_supercontracted(g: ColoredGraph) -> bool:
 class ResidueLattice:
     """All residues of a graph for every proper color subset, with containment.
 
-    Lazy: a color set is walked on first read and kept, with `_at`, its
-    one vertex-to-residue index, filled in by the same walk; counts on
-    fewer than two colors are closed forms.  Holds the matchings, never
-    the graph.  The cover relation links each residue to the unique
-    residue one color richer that contains it, one parent per added color.
+    Lazy: a color set is filled on first read and kept, with `_at`, its
+    one vertex-to-residue index, by `_walk`, which joins it from a walked
+    set one color smaller or else walks it; counts on fewer than two
+    colors are closed forms.  Holds the matchings, never the graph.  The
+    cover relation links each residue to the unique residue one color
+    richer that contains it, one parent per added color.
     """
 
     def __init__(self, g: ColoredGraph):
@@ -162,6 +168,7 @@ class ResidueLattice:
         self._matchings = g.matchings
         self._full = full_mask(g.n)
         self._walks: dict[int, tuple[list[int], tuple[ResidueView, ...]]] = {}
+        self._ranks: Optional[dict[int, int]] = None
 
     def _mask(self, colors) -> int:
         mask = colors if isinstance(colors, int) else mask_of(colors)
@@ -174,8 +181,36 @@ class ResidueLattice:
     def _read(self, mask: int) -> tuple[ResidueView, ...]:
         walk = self._walks.get(mask)
         if walk is None:
-            walk = self._walks[mask] = _walk(self._matchings, mask)
+            walk = self._walks[mask] = self._walk(mask)
         return walk[1]
+
+    def _walk(self, mask: int) -> tuple[list[int], tuple[ResidueView, ...]]:
+        """`_walk` of one color set, joined from a set one color smaller
+        that is walked already, the one with the fewest residues, along the
+        added color's row, when there is one: a union-find over that set's
+        residue numbers (`_joins`).  A set joined into one residue is read
+        in closed form."""
+        sub, added = None, 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            walk = self._walks.get(mask ^ bit)
+            # the fewest residues to join, the fewest edges to scan
+            if walk is not None and (sub is None or len(walk[1]) < len(sub[1])):
+                sub, added = walk, bit
+            rest ^= bit
+        if sub is None:
+            return _walk(self._matchings, mask)
+        parent, count = _joins(sub, self._matchings[added.bit_length() - 1])
+        if count == 1:
+            return [0] * self.order, (ResidueView(self._matchings, mask, tuple(range(self.order))),)
+        root = [_find(parent, i) for i in range(len(parent))]
+        number: dict = {}  # numbered as met in vertex order: by minimum vertex
+        label = [number.setdefault(root[x], len(number)) for x in sub[0]]
+        members: list = [[] for _ in range(count)]
+        for v, x in enumerate(label):
+            members[x].append(v)
+        return label, tuple(ResidueView(self._matchings, mask, tuple(vs)) for vs in members)
 
     def _at(self, mask: int) -> list[int]:
         """Entry v: the position in `_read(mask)` of the residue holding v."""
@@ -204,12 +239,15 @@ class ResidueLattice:
                 yield from self._read(mask)
 
     def rank_counts(self) -> dict[int, int]:
-        """Total number of h-residues for each h."""
-        out: dict[int, int] = {}
-        for mask in range(self._full):
-            h = bin(mask).count("1")
-            out[h] = out.get(h, 0) + self.count(mask)
-        return out
+        """Total number of h-residues for each h: summed on the first call
+        and kept, a copy returned."""
+        if self._ranks is None:
+            self._ranks = {0: self.order, 1: (self.n + 1) * self.order // 2}
+            for mask in range(self._full):
+                h = bin(mask).count("1")
+                if h >= 2:
+                    self._ranks[h] = self._ranks.get(h, 0) + len(self._read(mask))
+        return dict(self._ranks)
 
     # ---- order relation ----
 

@@ -17,7 +17,7 @@ from bisect import bisect, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import UnresolvedResidueError
@@ -91,17 +91,18 @@ def sphere_status(g: ColoredGraph, step_limit: Optional[int] = None) -> SphereSt
     return status
 
 
-def _ladder(rows, root: int, order: int, euler) -> Optional[SphereStatus]:
+def _ladder(rows, root: int, order: int, euler, bipartite: bool = False) -> Optional[SphereStatus]:
     """The cheap sphere tests, in order, on the graph the matching `rows`
-    span through `root`: order two, two colors, bipartite, Euler count, and
-    on three colors the surface rule.  None when every test passes; the
-    Euler count `euler()` is read only when the tests above it pass."""
+    span through `root`: order two, two colors, bipartite (taken as passed
+    when `bipartite` says a graph holding this one is), Euler count, and on
+    three colors the surface rule.  None when every test passes; the Euler
+    count `euler()` is read only when the tests above it pass."""
     n = len(rows) - 1
     if order == 2:
         return SphereStatus(Verdict.SPHERE, "order-2 graph")
     if n == 1:
         return SphereStatus(Verdict.SPHERE, "bicolored cycle")
-    if _two_color(rows, (root,)) is None:
+    if not bipartite and _two_color(rows, (root,)) is None:
         return SphereStatus(Verdict.NOT_SPHERE, "not bipartite, hence not orientable")
     chi = euler()
     target = 2 if n % 2 == 0 else 0
@@ -262,37 +263,70 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
     is never rebuilt.  Only a larger one that passes them all is rebuilt as
     a graph and reduced, under `step_limit`; the rebuilt residue is never
     classified again, as every residue inside it is classified already.
+
+    The color sets come from `_plan`, made once per n: rank by rank, each
+    set's subsets read before the set, so that the lattice joins it from
+    one of them.  A color set that is one residue, the whole graph, takes
+    its Euler count from the subsets' residue counts and its singular flag
+    from theirs, without visiting a residue inside it.  One 2-coloring of
+    the whole graph answers every residue's bipartite test when it
+    succeeds.
     """
     lattice = g.lattice
+    order = g.order
+    bipartite = _two_color(g.matchings) is not None
     classes: dict = {}
-    # by rank, so that every residue inside one is classified before it
-    for mask in sorted(range(full_mask(g.n)), key=lambda m: bin(m).count("1")):
-        h = bin(mask).count("1")
-        if h < 3:
-            continue
-        views = lattice._read(mask)  # masks made here need no range check
+    singular: set = set()  # the color sets holding a singular residue
+    for mask, h, colors, subs in _plan(g.n):
+        inside = [lattice._read(sub) for sub, _, _ in subs]  # masks made here need no range check
+        views = lattice._read(mask)
         at = lattice._at(mask)
-        # by position in views; ranks 0 and 1 in closed form: size vertices, h*size/2 edges
-        chi = [(-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views]
-        bad = [False] * len(views)
-        sub = mask
-        while sub := (sub - 1) & mask:  # every proper nonempty color subset
-            k = bin(sub).count("1")
-            if k >= 2:
-                for rv in lattice._read(sub):
+        # ranks 0 and 1 in closed form: size vertices, h*size/2 edges
+        if len(views) == 1:
+            chi = [(-1) ** (h - 1) * (order - h * order // 2)
+                   + sum(sign * len(rvs) for (_, _, sign), rvs in zip(subs, inside))]
+            bad = [any(sub in singular for sub, k, _ in subs if k >= 3)]
+        else:  # by position in views
+            chi = [(-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views]
+            bad = [False] * len(views)
+            for (sub, k, sign), rvs in zip(subs, inside):
+                for rv in rvs:
                     i = at[rv.vertices[0]]
-                    chi[i] += (-1) ** (h - 1 - k)
-                    if k >= 3 and classes[rv.key] is ResidueClass.SINGULAR:
+                    chi[i] += sign
+                    if k >= 3 and sub in singular and classes[rv.key] is ResidueClass.SINGULAR:
                         bad[i] = True
-        rows = [g.matchings[c] for c in colors_of(mask)]
+        rows = [g.matchings[c] for c in colors]
         for i, rv in enumerate(views):
             if bad[i]:
                 classes[rv.key] = ResidueClass.SINGULAR
             else:
-                status = _ladder(rows, rv.vertices[0], rv.size, lambda: chi[i])
+                status = _ladder(rows, rv.vertices[0], rv.size, lambda: chi[i], bipartite)
                 status = status or _reduce(rv.as_graph(), step_limit)
                 classes[rv.key] = _CLASS_OF[status.verdict]
+            if classes[rv.key] is ResidueClass.SINGULAR:
+                singular.add(mask)
     return Classification(lattice, classes)
+
+
+@cache
+def _plan(n: int) -> tuple:
+    """`classify_graph`'s color sets on n+1 colors: each proper set of three
+    or more colors, by rank, as (mask, rank, colors, subsets), where the
+    subsets are its proper ones of two or more colors, each as (mask, rank,
+    sign of its residues in the set's Euler count).  Keyed by n alone."""
+    plan = []
+    for mask in sorted(range(full_mask(n)), key=lambda m: bin(m).count("1")):
+        h = bin(mask).count("1")
+        if h < 3:
+            continue
+        subs = []
+        sub = mask
+        while sub := (sub - 1) & mask:  # every proper nonempty color subset
+            k = bin(sub).count("1")
+            if k >= 2:
+                subs.append((sub, k, (-1) ** (h - 1 - k)))
+        plan.append((mask, h, colors_of(mask), tuple(subs)))
+    return tuple(plan)
 
 
 # ============================================================

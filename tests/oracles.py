@@ -8,7 +8,8 @@ permutation (against each given color permutation, when colors may move),
 joined pairs by trying every vertex pair and color, residue classes and
 bigon tables from each residue's own subgraph, singular-set components by
 joining every comparable pair of singular residues, covers below a residue
-from the residue through each of its vertices.
+from the residue through each of its vertices.  `bipartite_table` draws
+seeded bipartite inputs for them.
 The one exception, `simplify_by_reclassification`, keeps an earlier policy
 of the package as a reference for the one that replaced it.
 """
@@ -71,6 +72,24 @@ def joined_pairs_by_brute_force(rows, vertices):
         if 1 <= len(cols) < len(rows):
             out.append((v, w, cols))
     return out
+
+
+def bipartite_table(n, order, rng):
+    """The rows of a seeded connected bipartite graph on n+1 colors, drawn
+    as the survey benchmark draws them: color 0 standard, every other color
+    a random matching of even vertices to odd ones, drawn again until the
+    union is connected."""
+    while True:
+        rows = [tuple(v ^ 1 for v in range(order))]
+        for _ in range(n):
+            odd = list(range(1, order, 2))
+            rng.shuffle(odd)
+            row = [0] * order
+            for i, w in enumerate(odd):
+                row[2 * i], row[w] = w, 2 * i
+            rows.append(tuple(row))
+        if len(table_components(rows, order)) == 1:
+            return tuple(rows)
 
 
 def table_components(rows, order):

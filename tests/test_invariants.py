@@ -62,6 +62,16 @@ def test_cyclic_order_counts():
     assert len(cyclic_orders(range(5))) == 12  # 4!/2
 
 
+def test_cyclic_orders_refuse_fewer_than_three_colors():
+    """The orders are kept per sorted color tuple: a color set given in
+    any order reads the same orders, and one of fewer than three colors
+    is refused on every call, not only the first."""
+    assert cyclic_orders((4, 1, 3, 0)) == cyclic_orders([0, 1, 3, 4])
+    for colors in ((), (2,), (1, 0), (1, 0)):
+        with pytest.raises(ValueError, match="at least three colors"):
+            cyclic_orders(colors)
+
+
 def test_cyclic_orders_canonical():
     for eps in cyclic_orders(range(5)):
         assert eps[0] == 0

@@ -1,6 +1,5 @@
 """Residue enumeration, counts, poset structure, supercontractedness."""
 
-import importlib
 import itertools
 import random
 from math import comb
@@ -119,6 +118,17 @@ def test_torus_lattice_counts(t6):
     assert lattice.count((0, 1)) == 1
 
 
+def test_rank_counts_hand_out_a_copy(t6):
+    """The lattice sums its rank counts once; a caller that changes the
+    dict it was given changes no later answer."""
+    lattice = residue_lattice(t6)
+    ranks = lattice.rank_counts()
+    ranks[2] = 99
+    ranks[7] = 1
+    del ranks[0]
+    assert lattice.rank_counts() == {0: 6, 1: 9, 2: 3}
+
+
 def test_counts_table(t6):
     lattice = residue_lattice(t6)
     table = {colors_of(mask): lattice.count(mask) for mask in range(full_mask(t6.n))}
@@ -190,16 +200,18 @@ def test_lazy_lattice_equals_eager_reference():
 
 def test_lattice_walks_only_what_is_read(monkeypatch):
     """Counts on fewer than two colors are never walked, and no color set is
-    walked twice."""
-    module = importlib.import_module("gemkit.residues")  # `gemkit.residues` is the function
+    walked twice.  A walk is a call of `ResidueLattice._walk`, the one entry
+    point that fills a color set, by joining a smaller set or walking it."""
     walked = []
-    walk = module._components
+    masks = []
+    walk = ResidueLattice._walk
 
-    def spy(rows, order):
-        walked.append(len(rows))
-        return walk(rows, order)
+    def spy(lattice, mask):
+        walked.append(bin(mask).count("1"))
+        masks.append(mask)
+        return walk(lattice, mask)
 
-    monkeypatch.setattr(module, "_components", spy)
+    monkeypatch.setattr(ResidueLattice, "_walk", spy)
     g = random_graph(4, 12, random.Random(8))
 
     def fresh():
@@ -209,6 +221,7 @@ def test_lattice_walks_only_what_is_read(monkeypatch):
     h = fresh()
     ranks = h.lattice.rank_counts()
     assert len(walked) == 2**5 - 2 - 5 and min(walked) == 2
+    assert len(set(masks)) == len(masks)
     assert ranks[0] == 12 and ranks[1] == 5 * 6
     walked.clear()
     assert h.lattice.rank_counts() == ranks
@@ -236,19 +249,32 @@ def test_lattice_walks_only_what_is_read(monkeypatch):
 def test_position_index_matches_components(fixtures_all):
     """Entry v of `_at(mask)` is the position, among the color set's
     residues ordered by minimum vertex, of the union-find component holding
-    v, for every proper color set of every fixture and of seeded random
-    graphs."""
+    v, and `_read(mask)` lists those components, for every proper color set
+    of every fixture and of seeded random graphs (order 2 included).  Each
+    graph's color sets are read in rank order, where every set of three or
+    more colors is joined from a smaller one, in numeric order, in reverse
+    order, where every set is walked, and in a seeded shuffle."""
     rng = random.Random(19)
-    graphs = fixtures_all + [random_graph(n, rng.randrange(2, 17, 2), rng)
-                             for n in range(1, 6) for _ in range(4)]
+    graphs = fixtures_all + [random_graph(n, order, rng)
+                             for n in range(1, 6)
+                             for order in [2] + [rng.randrange(2, 17, 2) for _ in range(4)]]
     for g in graphs:
-        lattice = residue_lattice(g)
-        for mask in range(full_mask(g.n)):
-            want = [None] * g.order
-            for i, comp in enumerate(union_find_components(g, colors_of(mask))):
-                for v in comp:
-                    want[v] = i
-            assert lattice._at(mask) == want, (g.matchings, mask)
+        masks = list(range(full_mask(g.n)))
+        shuffled = masks[:]
+        rng.shuffle(shuffled)
+        ranked = sorted(masks, key=lambda m: bin(m).count("1"))
+        for reads in (ranked, masks, masks[::-1], shuffled):
+            lattice = residue_lattice(g)
+            for mask in reads:
+                comps = union_find_components(g, colors_of(mask))
+                want = [None] * g.order
+                for i, comp in enumerate(comps):
+                    for v in comp:
+                        want[v] = i
+                assert lattice._at(mask) == want, (g.matchings, mask, reads)
+                views = lattice._read(mask)
+                assert [rv.vertices for rv in views] == comps, (g.matchings, mask, reads)
+                assert all(rv.mask == mask for rv in views)
 
 
 def test_position_index_built_once_per_color_set(monkeypatch):

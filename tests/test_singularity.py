@@ -48,7 +48,7 @@ from gemkit.library import (
     torus_disk,
     torus_interval,
 )
-from oracles import residue_classes, singular_components, two_coloring
+from oracles import bipartite_table, residue_classes, singular_components, two_coloring
 
 
 # ============================================================
@@ -196,6 +196,12 @@ def _oracle_cases():
     graphs += [rp3(), torus_disk(), order4_nonbipartite(1)]
     graphs += [random_graph(rng.choice((3, 4, 5)), rng.choice((4, 6, 8, 10, 12)), rng)
                for _ in range(40)]
+    # whole graphs bipartite, and residues large enough to reach a reduction;
+    # on six colors, one-residue color sets holding a singular residue that
+    # their own Euler count does not expose
+    graphs += [ColoredGraph(bipartite_table(4, order, rng)) for order in (12, 16) for _ in range(3)]
+    graphs += [random_graph(4, order, rng) for order in (12, 16) for _ in range(3)]
+    graphs += [ColoredGraph(bipartite_table(5, 12, rng)) for _ in range(6)]
     return graphs
 
 
