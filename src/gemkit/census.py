@@ -322,6 +322,8 @@ def enumerate_census(params: CensusParams) -> Catalogue:
 def random_graph(n: int, order: int, rng: random.Random) -> ColoredGraph:
     """A uniformly drawn valid graph: color 0 standard, the rest rejection
     sampled until the union is connected."""
+    if n < 1:  # one matching never connects four or more vertices
+        raise ValueError("dimension must be >= 1")
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
     base = _standard_matching(order)

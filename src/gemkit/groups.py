@@ -95,7 +95,7 @@ def c_group_presentation(g: ColoredGraph, c: int) -> GroupPresentation:
     for i in g.colors:
         if i == c:
             continue
-        for rv in g.lattice.residues((i, c)):
+        for rv in g.lattice._read(1 << i | 1 << c):  # the whole graph when n = 1
             relators.append(tuple(
                 (gen_index[min(v, w), max(v, w)], 1 if v < w else -1)
                 for color, v, w in _cycle(g.matchings, c, i, rv.vertices[0])

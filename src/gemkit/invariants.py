@@ -105,8 +105,10 @@ def cyclic_orders(colors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The cyclic permutations of a color set up to rotation and inversion:
     k!/2 of them for k+1 colors (k >= 2)."""
     colors = tuple(sorted(colors))
-    if len(colors) < 3:
-        raise ValueError("cyclic orders need at least three colors")
+    if len(set(colors)) < max(len(colors), 3):
+        raise ValueError(f"cyclic orders need at least three colors, none repeated, got {colors}")
+    if colors[0] < 0:
+        raise ColorRangeError(f"color {colors[0]} is negative")
     return _cyclic_orders(colors)
 
 

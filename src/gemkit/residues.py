@@ -121,19 +121,9 @@ class ResidueView:
 
 
 def residues(g: ColoredGraph, colors) -> list[ResidueView]:
-    """All Delta-residues, ordered by minimum vertex.
-
-    For the empty color set each vertex is its own residue.
-    """
-    return list(_walk(g.matchings, _as_mask(colors, g.n))[1])
-
-
-def _walk(matchings: Matchings, mask: int) -> tuple[list[int], tuple[ResidueView, ...]]:
-    """The position of the residue holding each vertex, and the residues
-    on the color set `mask`, ordered by minimum vertex."""
-    rows = [matchings[c] for c in colors_of(mask)]
-    label, comps = _components(rows, len(matchings[0]))
-    return label, tuple(ResidueView(matchings, mask, tuple(comp)) for comp in comps)
+    """All Delta-residues, ordered by minimum vertex, read off a fresh
+    lattice; for the empty color set each vertex is its own residue."""
+    return list(ResidueLattice(g)._read(_as_mask(colors, g.n)))
 
 
 def residue_count(g: ColoredGraph, colors) -> int:
@@ -155,8 +145,8 @@ class ResidueLattice:
     """All residues of a graph for every proper color subset, with containment.
 
     Lazy: a color set is filled on first read and kept, with `_at`, its
-    one vertex-to-residue index, by `_walk`, which joins it from a walked
-    set one color smaller or else walks it; counts on fewer than two
+    one vertex-to-residue index, by `_walk`, the one residue walker (the
+    free `residues()` reads a fresh lattice); counts on fewer than two
     colors are closed forms.  Holds the matchings, never the graph.  The
     cover relation links each residue to the unique residue one color
     richer that contains it, one parent per added color.
@@ -168,12 +158,10 @@ class ResidueLattice:
         self._matchings = g.matchings
         self._full = full_mask(g.n)
         self._walks: dict[int, tuple[list[int], tuple[ResidueView, ...]]] = {}
-        self._ranks: Optional[dict[int, int]] = None
 
     def _mask(self, colors) -> int:
-        mask = colors if isinstance(colors, int) else mask_of(colors)
-        if not 0 <= mask < self._full:  # a color outside 0..n, or every color
-            _as_mask(mask, self.n)  # raises ColorRangeError outside 0..n
+        mask = _as_mask(colors, self.n)
+        if mask == self._full:
             raise ValueError(
                 f"color set {colors_of(mask)}: the whole graph is not a residue of itself")
         return mask
@@ -185,23 +173,21 @@ class ResidueLattice:
         return walk[1]
 
     def _walk(self, mask: int) -> tuple[list[int], tuple[ResidueView, ...]]:
-        """`_walk` of one color set, joined from a set one color smaller
-        that is walked already, the one with the fewest residues, along the
-        added color's row, when there is one: a union-find over that set's
-        residue numbers (`_joins`).  A set joined into one residue is read
-        in closed form."""
-        sub, added = None, 0
+        """Each vertex's residue position and the residues on `mask`, by
+        minimum vertex: joined along the added color's row from the first
+        walked set one color smaller, in color order (`_joins`), or else
+        walked.  A set joined into one residue is read in closed form."""
         rest = mask
         while rest:
             bit = rest & -rest
-            walk = self._walks.get(mask ^ bit)
-            # the fewest residues to join, the fewest edges to scan
-            if walk is not None and (sub is None or len(walk[1]) < len(sub[1])):
-                sub, added = walk, bit
+            sub = self._walks.get(mask ^ bit)
+            if sub is not None:
+                break
             rest ^= bit
-        if sub is None:
-            return _walk(self._matchings, mask)
-        parent, count = _joins(sub, self._matchings[added.bit_length() - 1])
+        else:
+            label, comps = _components([self._matchings[c] for c in colors_of(mask)], self.order)
+            return label, tuple(ResidueView(self._matchings, mask, tuple(comp)) for comp in comps)
+        parent, count = _joins(sub, self._matchings[bit.bit_length() - 1])
         if count == 1:
             return [0] * self.order, (ResidueView(self._matchings, mask, tuple(range(self.order))),)
         root = [_find(parent, i) for i in range(len(parent))]
@@ -239,15 +225,13 @@ class ResidueLattice:
                 yield from self._read(mask)
 
     def rank_counts(self) -> dict[int, int]:
-        """Total number of h-residues for each h: summed on the first call
-        and kept, a copy returned."""
-        if self._ranks is None:
-            self._ranks = {0: self.order, 1: (self.n + 1) * self.order // 2}
-            for mask in range(self._full):
-                h = bin(mask).count("1")
-                if h >= 2:
-                    self._ranks[h] = self._ranks.get(h, 0) + len(self._read(mask))
-        return dict(self._ranks)
+        """Total number of h-residues for each h, summed on every call."""
+        ranks = {0: self.order, 1: (self.n + 1) * self.order // 2}
+        for mask in range(self._full):
+            h = bin(mask).count("1")
+            if h >= 2:
+                ranks[h] = ranks.get(h, 0) + len(self._read(mask))
+        return ranks
 
     # ---- order relation ----
 

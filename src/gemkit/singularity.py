@@ -157,9 +157,7 @@ def cancel_certified(g: ColoredGraph, step_limit: Optional[int] = None) -> tuple
     return ColoredGraph(_component_table(rows, [u for u in g.vertices if u not in dead])), sites
 
 
-def certified_site(
-    g: ColoredGraph, step_limit: Optional[int] = None
-) -> Optional[tuple[int, int, tuple[int, ...]]]:
+def certified_site(g: ColoredGraph) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """The first dipole site (v, w, colors) whose cancellation provably
     preserves the cone space, largest color count first, then smallest
     vertex pair; None if there is none.
@@ -170,7 +168,7 @@ def certified_site(
     joined pair is walked only when its turn comes, and the walk that puts
     w outside v's residue is the residue then recognized.
     """
-    return _first_certified(g.matchings, _site_buckets(g), step_limit)
+    return _first_certified(g.matchings, _site_buckets(g), None)
 
 
 def _first_certified(rows, buckets: list, step_limit: Optional[int]):
@@ -236,11 +234,8 @@ class Classification:
         return self._of_class(ResidueClass.UNKNOWN)
 
     def _of_class(self, state: ResidueClass) -> tuple[ResidueView, ...]:
-        # only the color sets holding such a residue are read, each walked already
-        masks = sorted({mask for (mask, _), c in self.classes.items() if c is state})
-        return tuple(
-            rv for mask in masks for rv in self.lattice._read(mask) if self.classes[rv.key] is state
-        )
+        keys = sorted(key for key, c in self.classes.items() if c is state)
+        return tuple(self.lattice._read(m)[self.lattice._at(m)[v]] for m, v in keys)
 
     def require_resolved(self, what: str) -> None:
         bad = self.unresolved
@@ -266,8 +261,10 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
 
     The color sets come from `_plan`, made once per n: rank by rank, each
     set's subsets read before the set, so that the lattice joins it from
-    one of them.  A color set that is one residue, the whole graph, takes
-    its Euler count from the subsets' residue counts and its singular flag
+    the first of them.  Only sets this pass classified, of three or more
+    colors, are ever marked singular, so a subset's flag needs no rank
+    test.  A color set that is one residue, the whole graph, takes its
+    Euler count from the subsets' residue counts and its singular flag
     from theirs, without visiting a residue inside it.  One 2-coloring of
     the whole graph answers every residue's bipartite test when it
     succeeds.
@@ -278,22 +275,22 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
     classes: dict = {}
     singular: set = set()  # the color sets holding a singular residue
     for mask, h, colors, subs in _plan(g.n):
-        inside = [lattice._read(sub) for sub, _, _ in subs]  # masks made here need no range check
+        inside = [lattice._read(sub) for sub, _ in subs]  # masks made here need no range check
         views = lattice._read(mask)
         at = lattice._at(mask)
         # ranks 0 and 1 in closed form: size vertices, h*size/2 edges
         if len(views) == 1:
             chi = [(-1) ** (h - 1) * (order - h * order // 2)
-                   + sum(sign * len(rvs) for (_, _, sign), rvs in zip(subs, inside))]
-            bad = [any(sub in singular for sub, k, _ in subs if k >= 3)]
+                   + sum(sign * len(rvs) for (_, sign), rvs in zip(subs, inside))]
+            bad = [any(sub in singular for sub, _ in subs)]
         else:  # by position in views
             chi = [(-1) ** (h - 1) * (rv.size - h * rv.size // 2) for rv in views]
             bad = [False] * len(views)
-            for (sub, k, sign), rvs in zip(subs, inside):
+            for (sub, sign), rvs in zip(subs, inside):
                 for rv in rvs:
                     i = at[rv.vertices[0]]
                     chi[i] += sign
-                    if k >= 3 and sub in singular and classes[rv.key] is ResidueClass.SINGULAR:
+                    if sub in singular and classes[rv.key] is ResidueClass.SINGULAR:
                         bad[i] = True
         rows = [g.matchings[c] for c in colors]
         for i, rv in enumerate(views):
@@ -312,8 +309,8 @@ def classify_graph(g: ColoredGraph, step_limit: Optional[int] = None) -> Classif
 def _plan(n: int) -> tuple:
     """`classify_graph`'s color sets on n+1 colors: each proper set of three
     or more colors, by rank, as (mask, rank, colors, subsets), where the
-    subsets are its proper ones of two or more colors, each as (mask, rank,
-    sign of its residues in the set's Euler count).  Keyed by n alone."""
+    subsets are its proper ones of two or more colors, each as (mask, sign
+    of its residues in the set's Euler count).  Keyed by n alone."""
     plan = []
     for mask in sorted(range(full_mask(n)), key=lambda m: bin(m).count("1")):
         h = bin(mask).count("1")
@@ -324,7 +321,7 @@ def _plan(n: int) -> tuple:
         while sub := (sub - 1) & mask:  # every proper nonempty color subset
             k = bin(sub).count("1")
             if k >= 2:
-                subs.append((sub, k, (-1) ** (h - 1 - k)))
+                subs.append((sub, (-1) ** (h - 1 - k)))
         plan.append((mask, h, colors_of(mask), tuple(subs)))
     return tuple(plan)
 

@@ -3,8 +3,11 @@
 import collections
 import hashlib
 import itertools
+import random
 
 import pytest
+
+import gemkit.census as census_mod
 
 from gemkit import (
     BudgetExceededError,
@@ -621,6 +624,20 @@ def test_random_graph_valid(rng):
     for _ in range(30):
         g = random_graph(4, 8, rng)
         assert g.n == 4 and g.order == 8  # constructor validated the rest
+
+
+def test_random_graph_refuses_fewer_than_two_colors(monkeypatch):
+    """One matching never connects four or more vertices, so n < 1 is
+    refused with `CensusParams`' text before any draw; a connectivity test
+    reached first fails the test instead of looping forever."""
+
+    def drawn(rows, order):
+        raise AssertionError("a graph was drawn before n was checked")
+
+    monkeypatch.setattr(census_mod, "_connected", drawn)
+    for order in (2, 4):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            random_graph(0, order, random.Random(1))
 
 
 def test_random_graph_seeded_reproducible():

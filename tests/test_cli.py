@@ -158,6 +158,18 @@ def test_group_output(q4_file):
     assert "h1=0" in result.stdout
 
 
+def test_group_cgroup_of_bicolored_cycle(tmp_path, capsys):
+    """`group --target cgroup` presents a bicolored cycle of order 8 by its
+    four color-c edges and the one {i, c}-cycle, for either color c."""
+    path = tmp_path / "cycle.gem"
+    path.write_text(format_gem(random_graph(1, 8, random.Random(1))), encoding="utf-8")
+    for c in (0, 1):
+        assert main(["group", "--color", str(c), "--target", "cgroup", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("gen ") == 4 and out.count("rel ") == 1
+        assert out.endswith("h1=Z+Z+Z\n")
+
+
 _GROUP_FIXTURES = {
     "k2(2)": lambda: library.k2(2),
     "k2(3)": lambda: library.k2(3),

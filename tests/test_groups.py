@@ -7,9 +7,11 @@ from gemkit import (
     GroupPresentation,
     c_group_presentation,
     homology_h1,
+    pi1_presentation,
     quotient_presentation,
     smith_invariant_factors,
 )
+from gemkit.census import random_graph
 from gemkit.groups import connecting_relators
 from gemkit.library import k2, torus_disk, torus_interval
 
@@ -58,6 +60,18 @@ def test_k2_presentation_each_color():
         for word in pres.relators:
             assert len(word) == 1  # the single edge appears once per cycle
         assert homology_h1(pres).trivial
+
+
+def test_bicolored_cycle_c_group():
+    """On two colors the {i, c}-cycle set is the whole graph: a cycle of
+    order 2p presents p generators and one relator, so H1 = Z^(p-1)."""
+    for g, h1 in ((k2(1), "0"), (random_graph(1, 8, random.Random(1)), "Z+Z+Z")):
+        for c in g.colors:
+            for pres in (c_group_presentation(g, c), pi1_presentation(g, c, "cgroup")):
+                assert (len(pres.generators), len(pres.relators)) == (g.order // 2, 1)
+                assert str(homology_h1(pres)) == h1
+            # the connecting relators kill all but one generator
+            assert homology_h1(quotient_presentation(g, c)).trivial
 
 
 def test_relator_length_is_edge_count(t6):

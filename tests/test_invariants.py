@@ -72,6 +72,16 @@ def test_cyclic_orders_refuse_fewer_than_three_colors():
             cyclic_orders(colors)
 
 
+def test_cyclic_orders_refuse_repeated_and_negative_colors():
+    """A repeated color and a negative one are refused on every call, not
+    kept as orders of the cached color tuple."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="none repeated"):
+            cyclic_orders([0, 0, 1])
+        with pytest.raises(ColorRangeError, match="negative"):
+            cyclic_orders([-1, 0, 1])
+
+
 def test_cyclic_orders_canonical():
     for eps in cyclic_orders(range(5)):
         assert eps[0] == 0
