@@ -56,8 +56,7 @@ disconnected P is skipped, as its children lose connectivity without e.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, GemSyntaxError, UnresolvedResidueError
 from .graph import (
@@ -88,8 +87,7 @@ DEFAULT_BUDGET = (5, 8)  # max dimension, max order
 # ============================================================
 
 
-@dataclass(frozen=True)
-class CensusParams:
+class _CensusFields(NamedTuple):
     n: int
     order: int
     equivalence: Equivalence = Equivalence.COLOR_PERMUTING
@@ -97,11 +95,17 @@ class CensusParams:
     supercontracted: bool = False
     no_ordinary_dipoles: bool = False
 
-    def __post_init__(self) -> None:  # a catalogue header is held to these too
+
+class CensusParams(_CensusFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # a catalogue header is held to these too
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.order < 2 or self.order % 2:
             raise ValueError("order must be even and >= 2")
+        return self
 
     def validate(self) -> None:
         max_n, max_order = DEFAULT_BUDGET
@@ -124,8 +128,7 @@ class CensusParams:
         return ",".join(tags)
 
 
-@dataclass(frozen=True)
-class Catalogue:
+class Catalogue(NamedTuple):
     params: CensusParams
     entries: tuple[str, ...]  # canonical single-line codes, sorted
     bipartite_count: int
@@ -445,8 +448,7 @@ def _fields(text: str) -> dict:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     code: str
     bipartite: bool
     closed: Optional[bool]
@@ -455,8 +457,7 @@ class CensusRow:
     name: Optional[str]
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     catalogue: Catalogue
     rows: tuple[CensusRow, ...]
     omega_histogram: dict

@@ -10,10 +10,9 @@ step O(1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     ColorRangeError,
@@ -36,7 +35,6 @@ Matchings = tuple  # tuple[tuple[int, ...], ...]
 # ============================================================
 
 
-@dataclass(frozen=True)
 class ColoredGraph:
     """Connected (n+1)-regular multigraph with a proper (n+1)-edge-coloring.
 
@@ -52,6 +50,15 @@ class ColoredGraph:
         rows = tuple(tuple(row) for row in matchings)
         object.__setattr__(self, "matchings", rows)
         self._validate()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.matchings == other.matchings if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.matchings,))
 
     def _validate(self) -> None:
         rows = self.matchings
@@ -169,8 +176,7 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """The two vertex classes of a bipartite graph."""
 
     classes: tuple[frozenset, frozenset]
@@ -181,15 +187,18 @@ class Equivalence(Enum):
     COLOR_PERMUTING = "color-permuting"
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Total-order key over graphs: equal iff isomorphic under `equivalence`."""
+class CanonicalCode(NamedTuple):
+    """Total-order key over graphs: equal iff isomorphic under `equivalence`;
+    `<` and `>` read only the code bytes."""
 
     equivalence: Equivalence
     code: bytes
 
     def __lt__(self, other: "CanonicalCode") -> bool:
         return self.code < other.code
+
+    def __gt__(self, other: "CanonicalCode") -> bool:
+        return self.code > other.code
 
 
 # ============================================================

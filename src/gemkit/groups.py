@@ -10,9 +10,8 @@ the hypothesis checks live in `invariants`, the raw constructions here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import ColoredGraph, _cycle, _union
 from .residues import complement
@@ -20,8 +19,7 @@ from .residues import complement
 Word = tuple  # tuple[tuple[int, int], ...]: (generator index, +1 | -1)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """Finite presentation with integer-indexed generators."""
 
     generators: tuple[str, ...]
@@ -53,8 +51,7 @@ def format_word(word: Word, generators: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """H1 in canonical form: free rank plus invariant factors d1 | d2 | ..."""
 
     free_rank: int

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ColorRangeError, HypothesisViolatedError, OutOfTableRangeError
 from .graph import ColoredGraph
@@ -163,8 +162,7 @@ def _residue_bigons(lattice: ResidueLattice, c: int) -> list[tuple[ResidueView, 
     return tables
 
 
-@dataclass(frozen=True)
-class GDegreeChecks:
+class GDegreeChecks(NamedTuple):
     """Identity checks evaluated for 5-colored graphs."""
 
     multiple_of_three: bool
@@ -173,8 +171,7 @@ class GDegreeChecks:
     pair_relation: dict  # color -> bool, the per-color genus relation
 
 
-@dataclass(frozen=True)
-class GDegreeReport:
+class GDegreeReport(NamedTuple):
     n: int
     p: int
     genera: dict  # cyclic order -> Fraction
@@ -247,8 +244,7 @@ def g_degree(g: ColoredGraph) -> GDegreeReport:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class ManifoldFingerprint:
+class ManifoldFingerprint(NamedTuple):
     """Census-grade invariant bundle of one graph."""
 
     n: int

@@ -18,10 +18,9 @@ switches one mutable table in place and builds one graph at its end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DimensionMismatchError,
@@ -31,7 +30,7 @@ from .errors import (
     WouldAnnihilateError,
 )
 from .graph import ColoredGraph, _component_table, _stack, _switch
-from .residues import _joined, colors_of, complement, mask_of
+from .residues import _color_set, _joined, colors_of, complement, mask_of
 from .residues import cancel_site, dipole_side, joined_pairs  # re-exported
 from .singularity import ResidueClass, cancel_certified, is_singular_manifold
 
@@ -47,8 +46,7 @@ class Properness(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Dipole:
+class Dipole(NamedTuple):
     """Two vertices joined by exactly the listed colors, with the endpoints
     lying in different residues on the complementary colors."""
 
@@ -99,14 +97,13 @@ def add_dipole(g: ColoredGraph, vertex: int, colors: Iterable[int]) -> ColoredGr
     """
     if not 0 <= vertex < g.order:
         raise InvalidVertexError(f"vertex {vertex} outside 0..{g.order - 1}")
-    mask = mask_of(colors)
-    cols = colors_of(mask)
-    for c in cols:
+    cols = _color_set(colors)
+    for c in cols:  # before any shift, so a huge color is refused at once
         g.check_color(c)
     if not 1 <= len(cols) <= g.n:
         raise ValueError(f"a dipole uses between 1 and {g.n} colors, got {len(cols)}")
     rows = [list(row) for row in g.matchings]
-    _insert_pair(rows, vertex, colors_of(complement(mask, g.n)))
+    _insert_pair(rows, vertex, colors_of(complement(mask_of(cols), g.n)))
     return ColoredGraph(rows)
 
 
@@ -192,8 +189,7 @@ def _strictly_pinched(g: ColoredGraph, cls, v: int, w: int, comp_mask: int) -> b
     return True
 
 
-@dataclass(frozen=True)
-class VertexIndex:
+class VertexIndex(NamedTuple):
     vertex: int
     index: int
 
@@ -243,8 +239,7 @@ def internalize(g: ColoredGraph) -> ColoredGraph:
         cur = add_dipole(cur, v, [d for d in cur.colors if d != chosen])
 
 
-@dataclass(frozen=True)
-class SimplifyResult:
+class SimplifyResult(NamedTuple):
     graph: ColoredGraph
     complete: bool
     cancelled: tuple[Dipole, ...]

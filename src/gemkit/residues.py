@@ -23,8 +23,7 @@ table.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ColorRangeError
 from .graph import ColoredGraph, Matchings, _component_table, _components, _find, _joins, _switch
@@ -67,11 +66,23 @@ def complement(mask: int, n: int) -> int:
     return full_mask(n) & ~mask
 
 
+def _color_set(colors: Iterable[int]) -> tuple[int, ...]:
+    """The distinct colors, increasing, none negative; no color is shifted."""
+    cols = tuple(sorted(set(colors)))
+    if cols and cols[0] < 0:
+        raise ColorRangeError(f"color {cols[0]} is negative")
+    return cols
+
+
 def _as_mask(colors, n: int) -> int:
-    mask = colors if isinstance(colors, int) else mask_of(colors)
-    if mask & ~full_mask(n):  # a negative mask too, which colors_of refuses
-        raise ColorRangeError(f"color set {colors_of(mask)} outside 0..{n}")
-    return mask
+    if isinstance(colors, int):
+        if colors & ~full_mask(n):  # a negative mask too, which colors_of refuses
+            raise ColorRangeError(f"color set {colors_of(colors)} outside 0..{n}")
+        return colors
+    cols = _color_set(colors)  # each color is checked before its shift
+    if cols and cols[-1] > n:
+        raise ColorRangeError(f"color set {cols} outside 0..{n}")
+    return mask_of(cols)
 
 
 # ============================================================
@@ -79,8 +90,7 @@ def _as_mask(colors, n: int) -> int:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class ResidueView:
+class ResidueView(NamedTuple):
     """One connected component of the subgraph on a fixed color set."""
 
     matchings: Matchings  # the whole graph's rows

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import UnresolvedResidueError
 from .graph import ColoredGraph, _component_table, _cycle, _find, _two_color, _union
@@ -41,8 +40,7 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SphereStatus:
+class SphereStatus(NamedTuple):
     verdict: Verdict
     certificate: str
 
@@ -208,12 +206,12 @@ _CLASS_OF = {
 }
 
 
-@dataclass(frozen=True)
 class Classification:
     """Residue classes for one graph, backed by its full lattice."""
 
-    lattice: ResidueLattice
-    classes: dict
+    def __init__(self, lattice: ResidueLattice, classes: dict):
+        self.lattice = lattice
+        self.classes = classes
 
     def of(self, rv: ResidueView) -> ResidueClass:
         if rv.h <= 2:
@@ -331,8 +329,7 @@ def _plan(n: int) -> tuple:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SingularComponent:
+class SingularComponent(NamedTuple):
     """One connected piece of the singular set: the chain-connected singular
     residues spanning it, its top residues, dimension, and Euler number."""
 
@@ -342,8 +339,7 @@ class SingularComponent:
     chi: int
 
 
-@dataclass(frozen=True)
-class SingularSetSummary:
+class SingularSetSummary(NamedTuple):
     components: tuple[SingularComponent, ...]
     dimension: Optional[int]  # None when the singular set is empty
     chi: int
@@ -407,8 +403,7 @@ def is_singular_manifold(g: ColoredGraph) -> Optional[bool]:
     return None if any(rv.h < g.n for rv in cls.unresolved) else True
 
 
-@dataclass(frozen=True)
-class EulerCharacteristics:
+class EulerCharacteristics(NamedTuple):
     chi_m: int  # compact manifold (singular neighborhoods removed)
     chi_hat_m: int  # cone space
     chi_singular_set: int
@@ -433,8 +428,7 @@ def euler_characteristics(g: ColoredGraph) -> EulerCharacteristics:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class BoundaryPiece:
+class BoundaryPiece(NamedTuple):
     """Invariant bundle of one singular top residue's space."""
 
     residue: ResidueView
@@ -444,8 +438,7 @@ class BoundaryPiece:
     h1: AbelianInvariants
 
 
-@dataclass(frozen=True)
-class SharedWall:
+class SharedWall(NamedTuple):
     """A singular residue one color short of the top, glued between the two
     top residues that contain it."""
 
@@ -453,8 +446,7 @@ class SharedWall:
     between: tuple[tuple, tuple]  # the two top residues' keys
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     kind: str  # "single" | "glued" | "unsupported"
     pieces: tuple[BoundaryPiece, ...]
     walls: tuple[SharedWall, ...] = ()

@@ -2,7 +2,8 @@
 invariants -> census -> cli.  Every submodule imports on its own, and no
 function defers a package import to dodge a cycle, except the two cached
 properties through which a graph reaches the layers above it.  No
-module-level private helper is left without a reader in the package."""
+module-level private helper is left without a reader in the package, and
+importing the CLI loads neither `dataclasses` nor `inspect`."""
 
 import ast
 import os
@@ -38,6 +39,31 @@ def test_each_submodule_imports_first_in_a_fresh_interpreter():
             [sys.executable, "-c", _IMPORT_FIRST, _PACKAGE, name], capture_output=True, text=True
         )
         assert result.returncode == 0, f"gemkit.{name}: {result.stderr}"
+
+
+# the modules that `import gemkit.cli` loads beyond the interpreter's own
+_CLI_LOADS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import gemkit.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every command pays the package import in a fresh interpreter.  The
+    records are NamedTuples because `dataclasses` (with the `inspect` it
+    loads) and its per-class code generation took over a third of it."""
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_LOADS, os.path.dirname(_PACKAGE)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "gemkit.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def _deferred_imports(tree, module):

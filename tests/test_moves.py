@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from gemkit import (
     AbelianInvariants,
+    ColorRangeError,
     ColoredGraph,
     DimensionMismatchError,
     Dipole,
@@ -209,6 +211,22 @@ def test_add_dipole_validations():
         add_dipole(g, 9, (0,))
     with pytest.raises(ValueError):
         add_dipole(g, 0, (0, 1, 2, 3, 4))  # too many colors
+
+
+def test_add_dipole_refuses_huge_color_before_any_shift():
+    """The colors are checked against 0..n before `1 << c` is built, so the
+    refusal of color 10**5 allocates no 12 KB mask and walks no bits."""
+    g = q4()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColorRangeError, match=r"color 100000 outside 0\.\.4"):
+            add_dipole(g, 0, [10**5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    with pytest.raises(ColorRangeError, match="color -1 is negative"):
+        add_dipole(g, 0, [10**9, -1])
 
 
 def test_singular_one_dipole_shifts_singular_chi_down():

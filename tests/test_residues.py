@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -87,6 +88,28 @@ def test_negative_color_rejected():
         mask_of((0, -1))
     with pytest.raises(ColorRangeError, match="color -1 is negative"):
         residues(rp3(), (0, -1))
+
+
+@pytest.mark.parametrize("read", ["residues", "count", "residue_containing", "free"])
+def test_huge_color_refused_before_any_shift(read):
+    """Each color is checked against 0..n before `1 << c` is built, so the
+    refusal of color 10**5 allocates no 12 KB mask and walks no bits."""
+    g = q4()
+    lattice = g.lattice
+    calls = {
+        "residues": lambda: lattice.residues([0, 10**5]),
+        "count": lambda: lattice.count([0, 10**5]),
+        "residue_containing": lambda: lattice.residue_containing([0, 10**5], 0),
+        "free": lambda: residues(g, [0, 10**5]),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColorRangeError, match=r"color set \(0, 100000\) outside 0\.\.4"):
+            calls[read]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_partition_property(fixtures_all):

@@ -1,7 +1,6 @@
 """Sphere recognition, residue classes, singular sets, Euler numbers,
 manifold tests, boundary structure."""
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemkit import (
+    Classification,
     ColoredGraph,
     ResidueClass,
     ResidueLattice,
@@ -411,7 +411,7 @@ def test_manifold_flags_singular_outranks_unknown():
         for key in doubtful:
             classes[key] = ResidueClass.UNKNOWN
         h = torus_disk()
-        h.__dict__["classification"] = dataclasses.replace(cls, classes=classes)
+        h.__dict__["classification"] = Classification(cls.lattice, classes)
         assert is_closed_manifold(h) is expected
 
 
